@@ -19,6 +19,7 @@ from __future__ import annotations
 from collections.abc import Hashable
 
 from repro.exceptions import ParameterError
+from repro.core.support_prob import gamma_threshold
 from repro.graphs.probabilistic import ProbabilisticGraph
 from repro.truss.decomposition import truss_decomposition
 
@@ -143,7 +144,7 @@ def maximum_reliable_clique(
     """
     if not 0.0 < gamma <= 1.0:
         raise ParameterError(f"gamma must be in (0, 1], got {gamma}")
-    threshold = gamma * (1.0 - 1e-9)
+    threshold = gamma_threshold(gamma)
     survivors = [
         (u, v, p)
         for u, v, p in graph.edges_with_probabilities()

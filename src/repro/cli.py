@@ -593,8 +593,8 @@ def _add_workers_option(p: argparse.ArgumentParser) -> None:
     p.add_argument("--workers", type=_workers_arg, default=None, metavar="N",
                    help="fan compute-bound stages across N worker processes "
                         "('auto' = CPU count); output is bit-identical for "
-                        "every N >= 1, but differs from omitting the flag — "
-                        "see docs/performance.md")
+                        "every N and without the flag, which runs the same "
+                        "tasks in-process — see docs/performance.md")
     p.add_argument("--task-timeout", type=float, default=None,
                    metavar="SECONDS",
                    help="kill a worker that holds one parallel task longer "

@@ -29,6 +29,7 @@ from repro.graphs.components import is_connected
 from repro.graphs.probabilistic import ProbabilisticGraph, edge_key
 from repro.core.global_truss import alpha_exact
 from repro.core.global_decomp import _prune_to_structural_ktruss
+from repro.core.support_prob import gamma_threshold
 
 __all__ = ["exact_global_decomposition", "enumerate_global_trusses"]
 
@@ -65,7 +66,7 @@ def enumerate_global_trusses(
             f"edges, got {m}"
         )
 
-    threshold = gamma * (1.0 - 1e-9)
+    threshold = gamma_threshold(gamma)
     answers: list[frozenset[Edge]] = []
     results: list[ProbabilisticGraph] = []
     for size in range(m, 0, -1):

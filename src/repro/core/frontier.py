@@ -27,6 +27,7 @@ from repro.exceptions import ParameterError
 from repro.graphs.components import edge_connected_components
 from repro.graphs.probabilistic import ProbabilisticGraph, edge_key
 from repro.core.gamma_decomp import gamma_truss_decomposition
+from repro.core.support_prob import gamma_threshold
 from repro.truss.decomposition import truss_decomposition
 
 __all__ = ["TrussFrontier", "truss_frontier"]
@@ -73,7 +74,7 @@ class TrussFrontier:
         if not 0.0 < gamma <= 1.0:
             raise ParameterError(f"gamma must be in (0, 1], got {gamma}")
         row = self.frontier[edge_key(u, v)]
-        threshold = gamma * (1.0 - 1e-9)
+        threshold = gamma_threshold(gamma)
         best = 1
         for idx, value in enumerate(row):
             if value >= threshold:
@@ -86,7 +87,7 @@ class TrussFrontier:
             raise ParameterError(f"k must be at least 2, got {k}")
         if not 0.0 < gamma <= 1.0:
             raise ParameterError(f"gamma must be in (0, 1], got {gamma}")
-        threshold = gamma * (1.0 - 1e-9)
+        threshold = gamma_threshold(gamma)
         idx = k - 2
         survivors = [
             e for e, row in self.frontier.items()

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from repro.exceptions import ParameterError
 from repro.graphs.components import edge_connected_components
 from repro.graphs.probabilistic import ProbabilisticGraph, edge_key
-from repro.core.support_prob import SupportProbability
+from repro.core.support_prob import SupportProbability, gamma_threshold
 
 __all__ = ["GammaTrussResult", "gamma_truss_decomposition"]
 
@@ -85,7 +85,7 @@ class GammaTrussResult:
             raise ParameterError(f"gamma must be in (0, 1], got {gamma}")
         survivors = [
             e for e, g in self.gamma_trussness.items()
-            if g >= gamma * (1.0 - 1e-9)
+            if g >= gamma_threshold(gamma)
         ]
         clusters = edge_connected_components(self.graph, survivors)
         return [self.graph.edge_subgraph(c) for c in clusters]

@@ -3,14 +3,21 @@
 Implements the paper's backbone Algorithm 3 with both search
 sub-procedures:
 
-* **GTD** — :func:`top_down_search` (Algorithm 4): exact DFS that removes
-  one edge at a time, recursing into the k-truss-pruned connected
-  components. We memoise visited edge sets — without this the recursion
-  revisits the same residual graphs exponentially often.
-* **GBU** — :func:`bottom_up_search` (Algorithm 5): the heuristic that
-  grows a candidate from a single high-probability seed edge, adding
-  k - 2 supporting triangles per deficient edge, then extends satisfying
-  candidates to maximality.
+* **GTD** (Algorithm 4): exact search that removes one edge at a time,
+  recursing into the k-truss-pruned connected components, with visited
+  edge sets memoised. :func:`top_down_search` is the DFS form (run per
+  component by the ``gtd-component`` pool task); the decomposition
+  otherwise runs :func:`_frontier_search`, the same state closure peeled
+  in round-synchronous frontier shards.
+* **GBU** (Algorithm 5): the heuristic that grows a candidate from a
+  single high-probability seed edge, adding k - 2 supporting triangles
+  per deficient edge, then extends satisfying candidates to maximality.
+  :func:`bottom_up_search` threads one RNG stream through the seeds;
+  the decomposition runs :func:`_gbu_search`, one stream per seed.
+
+Every stage dispatches through a
+:class:`~repro.parallel.ParallelExecutor`; a serial run uses the inline
+one, so serial and pooled runs execute the same task functions.
 
 Candidate pruning follows Eq. (11): an edge can only appear in an
 (eps, delta)-approximate global (k, gamma)-truss if it lies in a maximal
@@ -32,6 +39,7 @@ from repro.graphs.probabilistic import ProbabilisticGraph, edge_key
 from repro.graphs.sampling import WorldSampleSet, hoeffding_sample_size
 from repro.core.global_truss import GlobalTrussOracle
 from repro.core.local import LocalTrussResult, local_truss_decomposition
+from repro.core.support_prob import gamma_threshold
 from repro.parallel.supervisor import QUARANTINED
 
 __all__ = [
@@ -126,24 +134,48 @@ def _edge_sort_key(e: Edge):
     return (str(e[0]), str(e[1]))
 
 
-def _edge_subgraphs_of_components(
+def _ordered_components(
     graph: ProbabilisticGraph, edges: set[Edge]
-) -> list[ProbabilisticGraph]:
-    """Split ``edges`` into connected clusters and materialise subgraphs.
+) -> list[list[Edge]]:
+    """Split ``edges`` into connected clusters, in canonical order.
 
-    Clusters and their edges are sorted before materialisation so the
-    component processing order — and hence GBU's random-stream
-    consumption — depends only on the edge *contents*, never on set
-    iteration order. Checkpoint resume relies on this: a run restarted
-    at a level boundary must consume the restored RNG stream exactly as
-    the uninterrupted run would have.
+    Each cluster's edges are sorted, and clusters are ordered by their
+    first edge, so the component processing order — and hence GBU's
+    random-stream consumption — depends only on the edge *contents*,
+    never on set iteration order. Checkpoint resume relies on this: a
+    run restarted at a level boundary must consume the restored RNG
+    stream exactly as the uninterrupted run would have.
     """
     ordered = [
         sorted(cluster, key=_edge_sort_key)
         for cluster in edge_connected_components(graph, edges)
     ]
     ordered.sort(key=lambda cluster: _edge_sort_key(cluster[0]))
-    return [graph.edge_subgraph(cluster) for cluster in ordered]
+    return ordered
+
+
+def _edge_subgraphs_of_components(
+    graph: ProbabilisticGraph, edges: set[Edge]
+) -> list[ProbabilisticGraph]:
+    """The :func:`_ordered_components` of ``edges``, as subgraphs."""
+    return [graph.edge_subgraph(c) for c in _ordered_components(graph, edges)]
+
+
+def _expansions(candidate: ProbabilisticGraph, k: int):
+    """Algorithm 4's successors of a candidate that failed the truss test.
+
+    Every single-edge deletion, pruned to a structural k-truss and split
+    into connected components, yielded as canonically sorted edge lists
+    in deterministic generation order (edge order of ``candidate``, then
+    canonical component order).
+    """
+    edges = set(candidate.edges())
+    for e in list(candidate.edges()):
+        remaining = set(edges)
+        remaining.discard(e)
+        pruned = _prune_to_structural_ktruss(candidate, remaining, k)
+        if pruned:
+            yield from _ordered_components(candidate, pruned)
 
 
 def top_down_search(
@@ -159,7 +191,9 @@ def top_down_search(
     If ``component`` itself satisfies the approximate global truss test it
     is returned (it is maximal by construction); otherwise every
     single-edge deletion is explored, each followed by structural k-truss
-    pruning and a split into connected components.
+    pruning and a split into connected components. Visited edge sets are
+    memoised — without this the recursion revisits the same residual
+    graphs exponentially often.
 
     ``max_states`` bounds the number of distinct residual edge-sets
     explored; exceeding it raises :class:`DecompositionError` — this is
@@ -191,16 +225,9 @@ def top_down_search(
         if oracle.satisfies(candidate, k, gamma):
             answers[key] = candidate
             continue
-        for e in list(candidate.edges()):
-            remaining = set(key)
-            remaining.discard(edge_key(*e))
-            pruned = _prune_to_structural_ktruss(candidate, remaining, k)
-            if not pruned:
-                continue
-            for piece in _edge_subgraphs_of_components(candidate, pruned):
-                piece_key = frozenset(piece.edges())
-                if piece_key not in visited:
-                    stack.append(piece)
+        for piece in _expansions(candidate, k):
+            if frozenset(piece) not in visited:
+                stack.append(candidate.edge_subgraph(piece))
     return list(answers.values())
 
 
@@ -221,14 +248,11 @@ def _frontier_shards(frontier: list, workers: int) -> list[list]:
 
 
 def _canonical_edge_list(component: ProbabilisticGraph) -> list[Edge]:
-    return sorted(
-        (edge_key(u, v) for u, v in component.edges()), key=_edge_sort_key
-    )
+    return sorted(component.edges(), key=_edge_sort_key)
 
 
 def _frontier_search(
     executor,
-    oracle: GlobalTrussOracle,
     k: int,
     comp_index: int,
     component: ProbabilisticGraph,
@@ -249,19 +273,21 @@ def _frontier_search(
     then merges in shard-index order and within-shard candidate order.
     Since DFS and round-synchronous BFS compute the same closure, and
     every satisfying state of the closure is an answer in both, the
-    answer *set* matches the serial search for every worker count —
-    and :func:`~repro.runtime.result.serialize_global_result`
-    canonicalises ordering, so the serialised output is bit-identical.
+    answer *set* matches the DFS for every worker count — and
+    :func:`~repro.runtime.result.serialize_global_result` canonicalises
+    ordering, so the serialised output is bit-identical.
 
     ``max_states`` counts unique states merged into the visited set,
-    mirroring the serial budget: the closure size alone decides whether
-    :class:`DecompositionError` is raised, so the serial path and every
-    worker count agree on the outcome.
+    mirroring the DFS budget: the closure size alone decides whether
+    :class:`DecompositionError` is raised, so every worker count agrees
+    on the outcome.
 
     After each merged round a ``"gtd-frontier"`` progress event carries
-    the complete mid-peel state (level answers so far, next frontier,
+    the live mid-peel state (level answers so far, next frontier,
     visited set) — the harness checkpoints it, so kill/resume lands on
-    a round boundary. ``resume_state`` restores exactly that snapshot.
+    a round boundary. The checkpoint writer puts the sets in canonical
+    order; a run without a checkpoint never pays for the sort.
+    ``resume_state`` restores exactly that snapshot.
 
     Returns None when a frontier shard was quarantined (the payload
     kept killing workers): the caller degrades this component to the
@@ -288,7 +314,7 @@ def _frontier_search(
             (comp_edges, shard, k, gamma)
             for shard in _frontier_shards(frontier, executor.pool_workers)
         ]
-        mark = len(getattr(executor, "quarantined", []))
+        mark = len(executor.quarantined)
         results = executor.map("gtd-frontier", payloads, progress=progress,
                                on_quarantine="skip")
         if any(res is QUARANTINED for res in results):
@@ -297,18 +323,18 @@ def _frontier_search(
             # cannot soundly skip states, so the whole component falls
             # back to the bottom-up heuristic — the same contract as a
             # quarantined gtd-component payload.
-            for rec in getattr(executor, "quarantined", [])[mark:]:
+            for rec in executor.quarantined[mark:]:
                 rec.fallback = "gbu"
             return None
         next_frontier: list[list[Edge]] = []
         for res in results:  # shard-index order
             for kind, data in res:  # within-shard candidate order
                 if kind == "sat":
-                    t = component.edge_subgraph([tuple(e) for e in data])
+                    t = component.edge_subgraph(data)
                     answers.setdefault(frozenset(t.edges()), t)
                     continue
                 for succ in data:  # canonical generation order
-                    key = frozenset(tuple(e) for e in succ)
+                    key = frozenset(succ)
                     if key in visited:
                         continue
                     visited.add(key)
@@ -317,7 +343,7 @@ def _frontier_search(
                             f"top-down search exceeded {max_states} "
                             f"explored states at k={k}"
                         )
-                    next_frontier.append([tuple(e) for e in succ])
+                    next_frontier.append(succ)
         frontier = next_frontier
         if progress is not None:
             from repro.runtime.progress import ProgressEvent
@@ -325,30 +351,36 @@ def _frontier_search(
             # Emitted *after* the round is merged, carrying everything a
             # resumed run needs to continue from the next round — a hook
             # that raises here (checkpointing first, as the harness
-            # chains them) loses no completed work.
-            found_lists = [
-                _canonical_edge_list(t)
-                for t in list(level_found.values()) + list(answers.values())
-            ]
+            # chains them) loses no completed work. The sets are live:
+            # hooks must not keep them past the call.
             progress(ProgressEvent(
                 "gtd-frontier", step=round_no,
                 detail={
                     "k": k, "comp_index": comp_index,
                     "round": round_no + 1,
-                    "found": found_lists,
-                    "frontier": [list(c) for c in frontier],
-                    # Outer sort keeps the snapshot canonical: `visited`
-                    # is a set, whose iteration order must never leak
-                    # into checkpoint bytes.
-                    "visited": sorted(
-                        (sorted(s, key=_edge_sort_key) for s in visited),
-                        key=lambda st: [_edge_sort_key(e) for e in st],
-                    ),
+                    "found": [*level_found, *answers],
+                    "frontier": frontier,
+                    "visited": visited,
                     "states": len(visited),
                 },
             ))
         round_no += 1
     return list(answers.values())
+
+
+def _evaluate_seed(
+    oracle: GlobalTrussOracle,
+    component: ProbabilisticGraph,
+    seed_edge: Edge,
+    k: int,
+    gamma: float,
+    rng: np.random.Generator,
+) -> ProbabilisticGraph | None:
+    """Grow, test and extend one GBU seed; None when it yields no truss."""
+    grown = _grow_candidate(component, seed_edge, k, rng)
+    if grown is None or not oracle.satisfies(grown, k, gamma):
+        return None
+    return _extend_to_maximal(oracle, component, grown, k, gamma)
 
 
 def bottom_up_search(
@@ -360,8 +392,6 @@ def bottom_up_search(
     skip_covered: bool = True,
     seed_order: str = "probability-desc",
     progress=None,
-    stream_root: int | None = None,
-    comp_index: int = 0,
 ) -> list[ProbabilisticGraph]:
     """Algorithm 5: heuristic bottom-up growth of satisfying trusses.
 
@@ -378,13 +408,9 @@ def bottom_up_search(
     maximal truss, the pass just avoids rediscovering the same answer
     from each of its edges.
 
-    With ``stream_root`` (how the decomposition always calls this), each
-    seed's growth draws from its own
-    ``SeedSequence([stream_root, k, comp_index, seed_index])`` stream —
-    the same streams :func:`_bottom_up_search_parallel` fans across
-    workers, so the serial pass is byte-identical to every parallel
-    worker count. Without it (direct API use), ``rng`` is one shared
-    sequential stream threaded through all seeds.
+    ``rng`` is one sequential stream threaded through all seeds. The
+    decomposition itself runs :func:`_gbu_search` instead, which draws
+    each seed from its own stream so every worker count agrees.
     """
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
@@ -408,6 +434,7 @@ def bottom_up_search(
             "seed_order must be 'probability-desc', 'probability-asc' "
             f"or 'random', got {seed_order!r}"
         )
+    threshold = gamma_threshold(gamma)
     for seed_index, (u0, v0, _) in enumerate(ranked):
         if progress is not None:
             from repro.runtime.progress import ProgressEvent
@@ -419,20 +446,11 @@ def bottom_up_search(
         if skip_covered and edge_key(u0, v0) in covered:
             continue
         # alpha_hat(seed) can never exceed the seed's world frequency.
-        if oracle.edge_frequency(u0, v0) < gamma * (1.0 - 1e-9):
+        if oracle.edge_frequency(u0, v0) < threshold:
             continue
-        if stream_root is not None:
-            seed_rng = np.random.default_rng(np.random.SeedSequence(
-                [stream_root, k, comp_index, seed_index]
-            ))
-        else:
-            seed_rng = rng
-        grown = _grow_candidate(component, (u0, v0), k, seed_rng)
-        if grown is None:
+        extended = _evaluate_seed(oracle, component, (u0, v0), k, gamma, rng)
+        if extended is None:
             continue
-        if not oracle.satisfies(grown, k, gamma):
-            continue
-        extended = _extend_to_maximal(oracle, component, grown, k, gamma)
         key = frozenset(extended.edges())
         if key not in answers:
             answers[key] = extended
@@ -440,7 +458,7 @@ def bottom_up_search(
     return list(answers.values())
 
 
-def _bottom_up_search_parallel(
+def _gbu_search(
     executor,
     oracle: GlobalTrussOracle,
     k: int,
@@ -450,17 +468,18 @@ def _bottom_up_search_parallel(
     root: int,
     progress=None,
 ) -> list[ProbabilisticGraph]:
-    """Algorithm 5 with per-seed RNG streams, fanned across an executor.
+    """Algorithm 5 with per-seed RNG streams, dispatched through an executor.
 
     Each seed draws from its own stream
     ``SeedSequence([root, k, comp_index, seed_index])``, so its
     evaluation is a pure function of the seed — independent of worker
-    count, scheduling, and chunk boundaries. Seeds are dispatched in
-    chunks; covered-seed skipping happens twice: cheaply at dispatch
-    (serial knowledge so far) and again at merge, in seed order, which
-    discards exactly the evaluations the serial per-seed-stream pass
-    would never have started. Results are therefore identical for any
-    ``workers``, including the inline ``workers=1`` reference.
+    count, scheduling, and chunk boundaries. Covered-seed skipping
+    happens twice: at dispatch (knowledge so far) and again at merge, in
+    seed order, which discards exactly the evaluations a one-seed-at-a-
+    time pass would never have started. A pool gets chunks of two seeds
+    per worker; the inline executor gets one seed at a time, so it
+    evaluates exactly the seeds that pass needs and speculates on none.
+    Results are identical for every worker count.
     """
     ranked = sorted(
         component.edges_with_probabilities(),
@@ -468,10 +487,10 @@ def _bottom_up_search_parallel(
     )
     comp_edges = tuple(component.edges())
     executor.cache_component(comp_edges, component)
-    threshold = gamma * (1.0 - 1e-9)
+    threshold = gamma_threshold(gamma)
     answers: dict[frozenset[Edge], ProbabilisticGraph] = {}
     covered: set[Edge] = set()
-    chunk = max(1, executor.pool_workers * 2)
+    chunk = 1 if executor.pool_workers == 1 else 2 * executor.pool_workers
     total = len(ranked)
     index = 0
     while index < total:
@@ -511,7 +530,7 @@ def _bottom_up_search_parallel(
                 continue
             # Merge-order discard: a seed covered by an answer accepted
             # earlier in seed order was evaluated speculatively; dropping
-            # it here reproduces the serial skip exactly.
+            # it here reproduces the one-seed-at-a-time skip exactly.
             if edge_key(*seed_edge) in covered:
                 continue
             truss = component.edge_subgraph(list(res))
@@ -586,6 +605,7 @@ def _extend_to_maximal(
     current_nodes = set(candidate.nodes())
     rejected: set[Edge] = set()
     need_support = k - 2
+    threshold = gamma_threshold(gamma)
     improved = True
     while improved:
         improved = False
@@ -600,7 +620,7 @@ def _extend_to_maximal(
                 # edge's alpha in any trial: its world frequency, and
                 # (for k >= 3) whether it can even reach k - 2 triangles
                 # within the trial's node set.
-                if oracle.edge_frequency(*e) < gamma * (1.0 - 1e-9):
+                if oracle.edge_frequency(*e) < threshold:
                     continue
                 if need_support > 0:
                     apexes = sum(
@@ -686,21 +706,21 @@ def global_truss_decomposition(
         ``start_k``) taken as already computed. The default runs from
         scratch.
     workers, executor, rng_root:
-        Parallel mode. ``workers`` (an int, 0 or ``"auto"``) spins up a
-        private :class:`~repro.parallel.ParallelExecutor` for this call;
-        ``executor`` supplies an externally managed one instead (the
-        harness shares one across stages). Either switches GBU to
-        *per-seed* RNG streams derived from ``rng_root`` (default: the
-        int ``seed``, else one draw from the main stream) — results are
-        then identical for every worker count, including ``workers=1``,
-        but differ from the default sequential-stream mode. ``None``
-        for all three (the default) is the unchanged serial behaviour.
-        With an executor, exact GTD levels additionally use the
-        intra-component frontier sharding of :func:`_frontier_search`
-        whenever the level is a single component (or the executor is
-        inline) — same bytes, parallel peel rounds.
+        Execution. Every stage dispatches through one
+        :class:`~repro.parallel.ParallelExecutor`: ``executor`` supplies
+        an externally managed one (the harness shares one across
+        stages); otherwise a private one is started for this call with
+        ``workers`` processes (an int, 0 or ``"auto"``), and ``None``
+        (the default) makes it the inline executor, which runs every
+        task in this process. GBU draws each seed from its own RNG
+        stream rooted at ``rng_root`` (default: the int ``seed``, else
+        one draw from the main stream), so results are identical for
+        every worker count. Exact GTD fans whole components across a
+        pool when a level has several; otherwise (and always inline) it
+        runs the round-synchronous frontier search of
+        :func:`_frontier_search`, which can checkpoint mid-peel.
     frontier_state:
-        Mid-peel resume support (requires an executor): the snapshot of
+        Mid-peel resume support: the snapshot of
         a ``"gtd-frontier"`` progress event's detail as restored by
         :meth:`~repro.runtime.checkpoint.CheckpointStore.load_frontier`.
         The level it names continues from that round boundary instead of
@@ -733,31 +753,20 @@ def global_truss_decomposition(
         samples = WorldSampleSet.from_graph(graph, n_samples, seed=rng,
                                             progress=progress)
     oracle = GlobalTrussOracle(samples, progress=progress)
-
-    own_executor = None
-    if executor is None and workers is not None:
-        from repro.parallel import ParallelExecutor
-
-        own_executor = ParallelExecutor(
-            workers, graph=graph, samples=samples
-        ).start()
-        executor = own_executor
-    if executor is not None:
-        executor.attach_oracle(oracle)
     if rng_root is not None:
         root = int(rng_root)
     elif isinstance(seed, int):
         root = seed
     else:
-        # One draw from the main stream anchors every per-seed
-        # stream of this run; Generator/None seeds are therefore
-        # reproducible within a run but not across checkpoint
-        # resume — the harness enforces an int seed there. Serial and
-        # parallel modes derive the root identically (same rng state at
-        # this point), which is what makes GBU output byte-identical
-        # across workers in {None, 1, 2, 4, ...}.
+        # One draw from the main stream anchors every per-seed stream of
+        # this run; Generator/None seeds are therefore reproducible
+        # within a run but not across checkpoint resume — the harness
+        # enforces an int seed there.
         root = int(rng.integers(0, np.iinfo(np.int64).max))
-    try:
+    from repro.parallel.executor import executor_for
+
+    with executor_for(executor, graph, workers, samples) as executor:
+        executor.attach_oracle(oracle)
         if local_result is None:
             local_result = local_truss_decomposition(
                 graph, gamma, executor=executor
@@ -768,13 +777,10 @@ def global_truss_decomposition(
                 f"({local_result.gamma} != {gamma})"
             )
         return _decomposition_levels(
-            graph, gamma, epsilon, delta, method, rng, samples, oracle,
+            graph, gamma, epsilon, delta, method, samples, oracle,
             local_result, max_k, max_states, progress, start_k,
             initial_trusses, executor, root, frontier_state,
         )
-    finally:
-        if own_executor is not None:
-            own_executor.close()
 
 
 def _decomposition_levels(
@@ -783,7 +789,6 @@ def _decomposition_levels(
     epsilon: float,
     delta: float,
     method: str,
-    rng: np.random.Generator,
     samples: WorldSampleSet,
     oracle: GlobalTrussOracle,
     local_result: LocalTrussResult,
@@ -796,7 +801,7 @@ def _decomposition_levels(
     root: int,
     frontier_state: dict | None = None,
 ) -> GlobalTrussResult:
-    """The Algorithm 3 k-loop, shared by the serial and parallel modes."""
+    """The Algorithm 3 k-loop."""
 
     result = GlobalTrussResult(
         graph=graph, gamma=gamma, epsilon=epsilon, delta=delta,
@@ -823,38 +828,41 @@ def _decomposition_levels(
             progress(ProgressEvent(
                 "global-level", step=k, detail={"method": method},
             ))
-        # Finished levels are never revisited: drop their memoised
-        # evaluations (and the recomputable frequency memo) so the
-        # oracle's footprint is bounded by one level, not the whole run.
-        oracle.trim_level_cache(k)
         local_edges = {e for e, tau in local_result.trussness.items() if tau >= k}
         candidates = local_edges & prev_union
         candidates = _prune_to_structural_ktruss(graph, candidates, k)
         if not candidates:
             break
         found: dict[frozenset[Edge], ProbabilisticGraph] = {}
+
+        def gbu(comp_index: int, piece: ProbabilisticGraph) -> None:
+            for t in _gbu_search(executor, oracle, k, comp_index, piece,
+                                 gamma, root, progress=progress):
+                found.setdefault(frozenset(t.edges()), t)
+
         pieces = _edge_subgraphs_of_components(graph, candidates)
         level_frontier = None
         if frontier_state is not None and int(frontier_state["k"]) == k:
             # One-shot: the snapshot belongs to exactly this level.
             level_frontier = frontier_state
             frontier_state = None
-        if (method == "gtd" and executor is not None
-                and executor.pool_workers > 1 and len(pieces) > 1):
+        if method == "gbu":
+            for comp_index, piece in enumerate(pieces):
+                gbu(comp_index, piece)
+        elif executor.pool_workers > 1 and len(pieces) > 1:
             # Components are independent; search them concurrently and
             # merge in component order. top_down_search is deterministic,
-            # so each worker's answer list matches a serial pass.
+            # so each worker's answer list matches the frontier search.
             payloads = [
                 (tuple(piece.edges()), k, gamma, max_states)
                 for piece in pieces
             ]
-            mark = len(getattr(executor, "quarantined", []))
+            mark = len(executor.quarantined)
             results = executor.map("gtd-component", payloads,
                                    progress=progress,
                                    on_quarantine="skip")
             records = {
-                rec.index: rec
-                for rec in getattr(executor, "quarantined", [])[mark:]
+                rec.index: rec for rec in executor.quarantined[mark:]
             }
             for comp_index, (piece, res) in enumerate(zip(pieces, results)):
                 if res is QUARANTINED:
@@ -865,21 +873,15 @@ def _decomposition_levels(
                     record = records.get(comp_index)
                     if record is not None:
                         record.fallback = "gbu"
-                    trusses = _bottom_up_search_parallel(
-                        executor, oracle, k, comp_index, piece, gamma,
-                        root, progress=progress,
-                    )
-                    for t in trusses:
-                        found.setdefault(frozenset(t.edges()), t)
+                    gbu(comp_index, piece)
                     continue
                 for t_edges in res:
                     t = piece.edge_subgraph(list(t_edges))
                     found.setdefault(frozenset(t.edges()), t)
-        elif method == "gtd" and executor is not None:
-            # Intra-component parallelism: the level is one giant
-            # component (the common case on the paper's real datasets)
-            # or the executor is inline — shard each component's peel
-            # rounds instead of fanning whole components.
+        else:
+            # One component (the common case on the paper's real
+            # datasets) or an inline executor: shard each component's
+            # peel rounds instead of fanning whole components.
             resume_comp = -1
             if level_frontier is not None:
                 resume_comp = int(level_frontier["comp_index"])
@@ -892,8 +894,8 @@ def _decomposition_levels(
                     # were restored from the snapshot's `found` above.
                     continue
                 trusses = _frontier_search(
-                    executor, oracle, k, comp_index, piece, gamma,
-                    max_states, progress, found,
+                    executor, k, comp_index, piece, gamma, max_states,
+                    progress, found,
                     resume_state=(level_frontier
                                   if comp_index == resume_comp else None),
                 )
@@ -901,28 +903,8 @@ def _decomposition_levels(
                     # Quarantined frontier shard: this component degrades
                     # to the bottom-up heuristic (fallback recorded on
                     # the quarantine records by _frontier_search).
-                    trusses = _bottom_up_search_parallel(
-                        executor, oracle, k, comp_index, piece, gamma,
-                        root, progress=progress,
-                    )
-                for t in trusses:
-                    found.setdefault(frozenset(t.edges()), t)
-        else:
-            for comp_index, piece in enumerate(pieces):
-                if method == "gtd":
-                    trusses = top_down_search(oracle, k, piece, gamma,
-                                              max_states=max_states,
-                                              progress=progress)
-                elif executor is not None:
-                    trusses = _bottom_up_search_parallel(
-                        executor, oracle, k, comp_index, piece, gamma,
-                        root, progress=progress,
-                    )
-                else:
-                    trusses = bottom_up_search(oracle, k, piece, gamma,
-                                               rng=rng, progress=progress,
-                                               stream_root=root,
-                                               comp_index=comp_index)
+                    gbu(comp_index, piece)
+                    continue
                 for t in trusses:
                     found.setdefault(frozenset(t.edges()), t)
         # Line 12: keep only the maximal answers.

@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.core import kernels
 from repro.core.kernels import WorldClassifier as _WorldClassifier
+from repro.core.support_prob import gamma_threshold
 from repro.exceptions import ParameterError
 from repro.graphs.probabilistic import ProbabilisticGraph, edge_key
 from repro.graphs.sampling import WorldSampleSet
@@ -133,8 +134,7 @@ def is_global_truss_exact(
     if subgraph.number_of_edges() == 0 or not is_connected(subgraph):
         return False
     alpha = alpha_exact(subgraph, k)
-    # Relative slack absorbs floating-point dust at exact-threshold cases.
-    threshold = gamma * (1.0 - 1e-9)
+    threshold = gamma_threshold(gamma)
     return all(a >= threshold for a in alpha.values())
 
 
@@ -198,8 +198,6 @@ class GlobalTrussOracle:
 
     One oracle wraps the ``N`` sampled worlds of the *host* graph; every
     candidate subgraph is evaluated against their projections (Eq. 10).
-    Estimates for a given (edge set, node set, k) are memoised — the
-    searches of Algorithms 4 and 5 revisit subgraphs heavily.
 
     The hot path, :meth:`satisfies_edges`, avoids materialising subgraph
     objects and short-circuits with two sound upper bounds before the
@@ -223,16 +221,8 @@ class GlobalTrussOracle:
     #: dispatch cost at startup overrides it via ``parallel_min_cells``.
     _PARALLEL_MIN_CELLS = 1 << 17
 
-    #: Memoised evaluations kept before the oldest are evicted. Worker
-    #: processes never see the per-level trim (they outlive levels), so
-    #: the cache itself must be bounded; eviction only costs recompute,
-    #: never changes a result.
-    _CACHE_MAX = 8192
-
     def __init__(self, samples: WorldSampleSet, progress=None, executor=None):
         self._samples = samples
-        self._cache: dict[tuple[frozenset[Edge], frozenset[Node], int],
-                          dict[Edge, float]] = {}
         self._frequency: dict[Edge, float] = {}
         self._progress = progress
         self._evaluations = 0
@@ -263,8 +253,7 @@ class GlobalTrussOracle:
         This is a sound upper bound on ``alpha_hat_k(H, e)`` for any
         candidate ``H`` — used by the searches to discard hopeless edges
         without a full evaluation. Computed by popcount on the packed
-        column; the memo is bounded by the host graph's edge count and
-        dropped with the per-level trim (:meth:`trim_level_cache`).
+        column; the memo is bounded by the host graph's edge count.
         """
         key = edge_key(u, v)
         freq = self._frequency.get(key)
@@ -273,29 +262,7 @@ class GlobalTrussOracle:
             self._frequency[key] = freq
         return freq
 
-    def trim_level_cache(self, k: int) -> int:
-        """Drop memoised evaluations from levels other than ``k``.
-
-        The decomposition's k-loop never revisits a finished level, but
-        the memo keys carry their k, so without this trim the cache (and
-        the per-edge frequency memo) grows monotonically across levels —
-        the unbounded-growth bug this call fixes. Returns the number of
-        evaluations dropped. Dropping only costs recompute on a stale
-        hit; results are unaffected.
-        """
-        stale = [key for key in self._cache if key[2] != k]
-        for key in stale:
-            del self._cache[key]
-        self._frequency.clear()
-        return len(stale)
-
     # ------------------------------------------------------------------
-    def _remember(self, key, estimates: dict[Edge, float]) -> None:
-        """Memoise an evaluation, evicting oldest beyond the size bound."""
-        while len(self._cache) >= self._CACHE_MAX:
-            self._cache.pop(next(iter(self._cache)))
-        self._cache[key] = estimates
-
     def _classify(
         self, edges: list[Edge], nodes: list[Node], k: int,
         packed: np.ndarray, candidate_rows: np.ndarray,
@@ -383,10 +350,6 @@ class GlobalTrussOracle:
     def _estimates(
         self, edges: list[Edge], nodes: list[Node], k: int
     ) -> dict[Edge, float]:
-        key = (frozenset(edges), frozenset(nodes), k)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return dict(cached)
         counts: dict[Edge, int] = {e: 0 for e in edges}
         denominator = self._samples.n_samples
         if edges:
@@ -404,11 +367,8 @@ class GlobalTrussOracle:
                     edges, nodes, k, packed, candidate_rows
                 )
         if denominator > 0:
-            estimates = {e: c / denominator for e, c in counts.items()}
-        else:
-            estimates = {e: 0.0 for e in edges}
-        self._remember(key, estimates)
-        return dict(estimates)
+            return {e: c / denominator for e, c in counts.items()}
+        return {e: 0.0 for e in edges}
 
     def satisfies(
         self, subgraph: ProbabilisticGraph, k: int, gamma: float
@@ -436,12 +396,7 @@ class GlobalTrussOracle:
             return False
         self._tick()
         node_list = list(nodes)
-        threshold = gamma * (1.0 - 1e-9)
-        key = (frozenset(edges), frozenset(node_list), k)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return all(a >= threshold for a in cached.values())
-
+        threshold = gamma_threshold(gamma)
         needed = threshold * self._samples.n_samples
         packed = self._samples.packed_columns(edges)
         row_sums = kernels.row_sums(packed, self._samples.n_samples)
@@ -450,8 +405,7 @@ class GlobalTrussOracle:
         )
         # Upper bound: qualifying worlds containing e are a subset of the
         # size-qualified worlds containing e. Reject without classifying
-        # when some edge cannot reach the threshold. (Sound only as a
-        # False fast-path; estimates are NOT cached here.)
+        # when some edge cannot reach the threshold.
         if candidate_rows.size * 1.0 < needed:
             return False
         candidate_mask = kernels.pack_row_mask(
@@ -463,17 +417,15 @@ class GlobalTrussOracle:
         if self._parallel_worthwhile(len(edges), candidate_rows.size):
             # Full counts over disjoint row blocks: the serial early-exit
             # below is a sound False fast-path, so completing the count
-            # yields the same boolean (and the same cached estimates as a
-            # completed serial pass).
+            # yields the same boolean as a completed in-process pass.
             counts, denominator = self._parallel_counts(
                 edges, node_list, k, packed, candidate_rows
             )
             if denominator > 0:
-                estimates = {e: counts[e] / denominator for e in edges}
+                estimates = [counts[e] / denominator for e in edges]
             else:
-                estimates = {e: 0.0 for e in edges}
-            self._remember(key, estimates)
-            return all(a >= threshold for a in estimates.values())
+                estimates = [0.0] * len(edges)
+            return all(a >= threshold for a in estimates)
         # One batched C-level connectivity pass over all unique patterns,
         # then (for k >= 3 only) per-pattern truss checks, heaviest
         # first, with a live per-edge bound achieved(e) + pending(e) for
@@ -506,17 +458,5 @@ class GlobalTrussOracle:
                     achieved += contribution
                 if ((achieved + pending) < needed).any():
                     return False
-        estimates = {
-            e: achieved[j] / self._samples.n_samples
-            for j, e in enumerate(edges)
-        }
-        self._remember(key, estimates)
-        return all(a >= threshold for a in estimates.values())
-
-    def cache_size(self) -> int:
-        """Number of memoised (edge set, node set, k) evaluations."""
-        return len(self._cache)
-
-    def clear_cache(self) -> None:
-        """Drop all memoised evaluations."""
-        self._cache.clear()
+        n = self._samples.n_samples
+        return all(a / n >= threshold for a in achieved)

@@ -174,12 +174,11 @@ def local_truss_decomposition(
     executor:
         Optional :class:`~repro.parallel.ParallelExecutor`. The initial
         O(k_e^2) support DPs — the one embarrassingly parallel stage of
-        Algorithm 1 — are then computed in chunks across its workers,
-        with triangle factors in canonical node order so every worker
-        count (including the inline 1) produces identical PMFs. The
-        peeling itself stays serial: it is an inherently sequential
-        bucket-queue scan. ``None`` keeps the original loop (whose qs
-        ordering follows set iteration order) untouched.
+        Algorithm 1 — run as ``pmf-init`` chunks through it, with
+        triangle factors in canonical node order so every worker count
+        produces identical PMFs. ``None`` runs the chunks on a private
+        inline executor. The peeling itself stays serial: it is an
+        inherently sequential bucket-queue scan.
 
     Returns
     -------
@@ -190,29 +189,28 @@ def local_truss_decomposition(
         raise ParameterError(f"gamma must be in [0, 1], got {gamma}")
     if method not in _METHODS:
         raise ParameterError(f"method must be one of {_METHODS}, got {method!r}")
+    from repro.parallel.executor import executor_for
 
     work = graph.copy()
     pmfs: dict[Edge, SupportProbability] = {}
     levels: dict[Edge, int] = {}
-    if executor is not None:
-        pairs = [(u, v) for u, v, _ in work.edges_with_probabilities()]
+    pairs = [(u, v) for u, v, _ in work.edges_with_probabilities()]
+    with executor_for(executor, graph) as executor:
         # A few chunks per worker keeps stragglers short without
         # drowning the pool in dispatch overhead.
         size = max(1, -(-len(pairs) // (executor.pool_workers * 4)))
         payloads = [
             (gamma, pairs[i:i + size]) for i in range(0, len(pairs), size)
         ]
-        for chunk in executor.map("pmf-init", payloads, progress=progress):
+        results = executor.map("pmf-init", payloads, progress=progress)
+        for i, chunk in enumerate(results):
+            # Release each chunk once read: its PMFs are copied out, and
+            # holding every chunk to the end would double peak memory.
+            results[i] = None
             for u, v, qs, pmf, level in chunk:
                 e = (u, v)
                 pmfs[e] = SupportProbability.from_factors(qs, pmf)
                 levels[e] = level
-    else:
-        for u, v, p in work.edges_with_probabilities():
-            e = (u, v)
-            sp = SupportProbability.from_edge(work, u, v)
-            pmfs[e] = sp
-            levels[e] = sp.level(gamma, p)
 
     queue = _LevelBuckets(levels)
     trussness: dict[Edge, int] = {}

@@ -27,7 +27,11 @@ from collections.abc import Hashable
 
 from repro.exceptions import ParameterError
 from repro.graphs.probabilistic import ProbabilisticGraph, edge_key
-from repro.core.support_prob import support_pmf, support_tail
+from repro.core.support_prob import (
+    gamma_threshold,
+    support_pmf,
+    support_tail,
+)
 
 __all__ = ["local_truss_decomposition_iterative"]
 
@@ -50,7 +54,7 @@ def _best_level(
     """
     u, v = e
     p_edge = graph.probability(u, v)
-    threshold = gamma * (1.0 - 1e-9)
+    threshold = gamma_threshold(gamma)
     if p_edge < threshold:
         return 1
     current = bounds[e]
@@ -93,7 +97,7 @@ def local_truss_decomposition_iterative(
             for w in graph.common_neighbors(u, v)
         ]
         sigma = support_tail(support_pmf(qs))
-        threshold = gamma * (1.0 - 1e-9)
+        threshold = gamma_threshold(gamma)
         if p < threshold:
             bounds[e] = 1
             continue

@@ -44,7 +44,11 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from repro.core.local import _LevelBuckets
-from repro.core.support_prob import SupportProbability, support_pmf
+from repro.core.support_prob import (
+    SupportProbability,
+    support_level,
+    support_pmf,
+)
 from repro.exceptions import ParameterError
 from repro.graphs.probabilistic import ProbabilisticGraph
 from repro.truss.nucleus import (
@@ -110,16 +114,14 @@ def nucleus_cell(
 ) -> tuple[list[float], list[float], int]:
     """Initial support state of one r-clique: ``(qs, pmf, level)``.
 
-    The single authoritative float path for cell initialisation — the
-    serial loop and the ``nucleus-cell`` pool task both call this, which
-    is what makes every worker count byte-identical.
+    The single float path for cell initialisation: the ``nucleus-cell``
+    task calls it for every worker count, inline or pooled.
     """
     prob = clique_probability(graph, cell)
     apexes = sorted(apex_candidates(graph, cell), key=_node_sort_key)
     qs = [apex_factor(graph, cell, x) for x in apexes]
     pmf = support_pmf(qs)
-    level = SupportProbability.from_factors(qs, pmf).level(gamma, prob)
-    return qs, pmf, level
+    return qs, pmf, support_level(pmf, gamma, prob)
 
 
 @dataclass
@@ -231,9 +233,10 @@ def nucleus_decomposition(
         nondecreasing order) are attached as ``err.partial``.
     executor:
         Optional :class:`~repro.parallel.ParallelExecutor`; the initial
-        support DPs then fan out in chunks via the ``nucleus-cell``
-        task. Scores are byte-identical for every worker count
-        (including ``None``): all factor orderings are canonical.
+        support DPs run in chunks via its ``nucleus-cell`` task (``None``
+        runs them on a private inline executor). Scores are
+        byte-identical for every worker count: all factor orderings are
+        canonical.
 
     Returns
     -------
@@ -244,6 +247,7 @@ def nucleus_decomposition(
         raise ParameterError(f"gamma must be in [0, 1], got {gamma}")
     if method not in _METHODS:
         raise ParameterError(f"method must be one of {_METHODS}, got {method!r}")
+    from repro.parallel.executor import executor_for
 
     cells = enumerate_r_cliques(graph, r)
     apexes: dict[Clique, list[Node]] = {
@@ -256,7 +260,7 @@ def nucleus_decomposition(
 
     pmfs: dict[Clique, SupportProbability] = {}
     levels: dict[Clique, int] = {}
-    if executor is not None and cells:
+    with executor_for(executor, graph) as executor:
         # A few chunks per worker keeps stragglers short without
         # drowning the pool in dispatch overhead (same sizing rule as
         # the pmf-init fan-out).
@@ -264,16 +268,14 @@ def nucleus_decomposition(
         payloads = [
             (r, gamma, cells[i:i + size]) for i in range(0, len(cells), size)
         ]
-        for chunk in executor.map("nucleus-cell", payloads, progress=progress):
+        results = executor.map("nucleus-cell", payloads, progress=progress)
+        for i, chunk in enumerate(results):
+            # Release each chunk once read (see the pmf-init loop).
+            results[i] = None
             for cell, qs, pmf, level in chunk:
                 cell = tuple(cell)
                 pmfs[cell] = SupportProbability.from_factors(qs, pmf)
                 levels[cell] = level
-    else:
-        for cell in cells:
-            qs, pmf, level = nucleus_cell(graph, gamma, cell)
-            pmfs[cell] = SupportProbability.from_factors(qs, pmf)
-            levels[cell] = level
 
     queue = _LevelBuckets(levels)
     scores: dict[Clique, int] = {}

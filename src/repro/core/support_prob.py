@@ -28,15 +28,29 @@ from repro.exceptions import EdgeNotFoundError, ParameterError
 from repro.graphs.probabilistic import ProbabilisticGraph
 
 __all__ = [
+    "gamma_threshold",
     "triangle_probabilities",
     "support_pmf",
     "support_pmf_reference",
     "support_tail",
+    "support_level",
     "support_pmf_bruteforce",
     "SupportProbability",
 ]
 
 Node = Hashable
+
+
+def gamma_threshold(gamma: float) -> float:
+    """The bound a probability must reach to pass threshold ``gamma``.
+
+    Every threshold decision in the library compares against this value.
+    It carries a small *relative* slack so that probabilities sitting
+    exactly at gamma (common in hand-built examples) survive the
+    floating-point dust of products and repeated Eq. (8)
+    deconvolutions.
+    """
+    return gamma * (1.0 - 1e-9)
 
 # Probability mass below this is treated as floating-point dust when the
 # Eq. (8) deconvolution produces slightly negative values.
@@ -119,6 +133,32 @@ def support_tail(pmf: Sequence[float]) -> list[float]:
         running += pmf[t]
         sigma[t] = min(1.0, running)
     return sigma
+
+
+def support_level(pmf: Sequence[float], gamma: float,
+                  edge_probability: float) -> int:
+    """Return the largest k with ``sigma(e, k-2) * p(e) >= gamma``.
+
+    This is the edge's current *local truss level*: the maximum k for
+    which the edge passes Definition 2's per-edge test against the
+    neighbourhood ``pmf`` describes. Edges with ``p(e) < gamma`` return
+    1 (they belong to no local (k, gamma)-truss for k >= 2, since
+    ``Pr[sup >= 0] = p(e)``).
+    """
+    if not 0.0 <= gamma <= 1.0:
+        raise ParameterError(f"gamma must be in [0, 1], got {gamma}")
+    threshold = gamma_threshold(gamma)
+    if edge_probability < threshold:
+        return 1
+    # sigma(t) is non-increasing in t, so scanning t from the top the
+    # first passing tail is the largest; t = 0 always passes because
+    # sigma(0) * p(e) = p(e) >= gamma was checked above.
+    running = 0.0
+    for t in range(len(pmf) - 1, 0, -1):
+        running += pmf[t]
+        if min(1.0, running) * edge_probability >= threshold:
+            return t + 2
+    return 2
 
 
 def support_pmf_bruteforce(qs: Sequence[float]) -> list[float]:
@@ -246,32 +286,9 @@ class SupportProbability:
         return support_tail(self._pmf)
 
     def level(self, gamma: float, edge_probability: float) -> int:
-        """Return the largest k with ``sigma(e, k-2) * p(e) >= gamma``.
-
-        This is the edge's current *local truss level*: the maximum k for
-        which the edge passes Definition 2's per-edge test against its
-        present neighbourhood. Edges with ``p(e) < gamma`` return 1
-        (they belong to no local (k, gamma)-truss for k >= 2, since
-        ``Pr[sup >= 0] = p(e)``).
-        """
-        if not 0.0 <= gamma <= 1.0:
-            raise ParameterError(f"gamma must be in [0, 1], got {gamma}")
-        # Threshold comparisons use a small *relative* slack so that
-        # probabilities sitting exactly at gamma (common in hand-built
-        # examples) survive the floating-point dust accumulated by
-        # repeated Eq. (8) deconvolutions.
-        threshold = gamma * (1.0 - 1e-9)
-        if edge_probability < threshold:
-            return 1
-        # sigma(t) is non-increasing in t, so scanning t from the top the
-        # first passing tail is the largest; t = 0 always passes because
-        # sigma(0) * p(e) = p(e) >= gamma was checked above.
-        running = 0.0
-        for t in range(len(self._pmf) - 1, 0, -1):
-            running += self._pmf[t]
-            if min(1.0, running) * edge_probability >= threshold:
-                return t + 2
-        return 2
+        """Return the largest k with ``sigma(e, k-2) * p(e) >= gamma``
+        (see :func:`support_level`)."""
+        return support_level(self._pmf, gamma, edge_probability)
 
     # ------------------------------------------------------------------
     def add_triangle(self, q: float) -> None:

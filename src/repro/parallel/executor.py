@@ -3,11 +3,11 @@
 :class:`ParallelExecutor` owns everything the parallel mode needs for
 one run: the supervised worker pool (:mod:`repro.parallel.supervisor`),
 the shared-memory sample segment, the shared cancel flag, and the
-counter block workers tick progress into. ``workers=1`` (or an
-environment without ``fork``) degrades to *inline* mode — the same task
-functions run synchronously in the parent process, which is both the
-zero-overhead special case and the reference the equivalence tests
-compare worker counts against.
+counter block workers tick progress into. ``workers=None`` or
+``workers=1`` (or an environment without ``fork``) runs in *inline*
+mode — the same task functions run synchronously in the parent process.
+Every serial run executes this way, so serial and pooled runs share one
+dispatch path per stage.
 
 Supervision policy lives here: the executor decides what a quarantined
 payload means for each call site through ``map``'s ``on_quarantine``
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import os
+from contextlib import nullcontext
 
 from repro.exceptions import ParameterError, TaskQuarantinedError
 from repro.parallel.shared import SharedWorldSamples
@@ -43,7 +44,7 @@ from repro.parallel.supervisor import (
 )
 from repro.parallel.work import COUNTER_PHASES, TASKS, WorkerState
 
-__all__ = ["ParallelExecutor", "resolve_workers"]
+__all__ = ["ParallelExecutor", "executor_for", "resolve_workers"]
 
 #: Default seconds between progress pumps while a map is in flight.
 _PUMP_INTERVAL = 0.05
@@ -81,6 +82,19 @@ def resolve_workers(workers) -> int:
     if workers < 1:
         raise ParameterError(f"workers must be at least 1, got {workers}")
     return workers
+
+
+def executor_for(executor, graph, workers=None, samples=None):
+    """Context manager yielding the executor one call dispatches through.
+
+    A supplied ``executor`` is borrowed: its owner starts and closes it.
+    Otherwise a fresh :class:`ParallelExecutor` over ``workers`` is
+    started for the call and closed on exit; ``workers=None`` makes it
+    the inline executor.
+    """
+    if executor is not None:
+        return nullcontext(executor)
+    return ParallelExecutor(workers, graph=graph, samples=samples)
 
 
 def _float_knob(value, env_name, default, *, name, allow_none=False,
@@ -146,7 +160,8 @@ class ParallelExecutor:
     Parameters
     ----------
     workers:
-        Requested worker count (see :func:`resolve_workers`).
+        Requested worker count (see :func:`resolve_workers`); ``None``
+        is the inline executor, the same as 1.
     graph:
         The host graph; workers rebuild it once at pool start.
     samples:
@@ -155,7 +170,7 @@ class ParallelExecutor:
         the parent copy pristine — it is the recovery source when a
         crashing worker corrupts the shared segment.
     oracle:
-        Optional parent-side oracle for inline mode (warm cache). Can
+        Optional parent-side oracle for inline mode. Can
         be attached later with :meth:`attach_oracle` when the oracle is
         created after the executor (the harness does this).
     task_timeout:
@@ -193,7 +208,7 @@ class ParallelExecutor:
                  task_timeout=None, task_cpu_timeout=None,
                  max_task_retries=None, pump_interval=None,
                  abort_grace=None, faults=None, parallel_min_cells=None):
-        self.workers = resolve_workers(workers)
+        self.workers = 1 if workers is None else resolve_workers(workers)
         self.pool_workers = 1
         #: Oracle dispatch threshold (candidate cells) measured at pool
         #: start; None until then (or forever, in inline mode) — the
@@ -356,6 +371,10 @@ class ParallelExecutor:
         if self._shared is not None:
             self._shared.close()
             self._shared = None
+        if self._oracle is not None:
+            # Break the executor <-> oracle cycle, so a finished run's
+            # sample set is freed at once rather than at the next GC.
+            self._oracle.executor = None
         self.pool_workers = 1
 
     def __enter__(self) -> "ParallelExecutor":
@@ -439,8 +458,8 @@ class ParallelExecutor:
         """Hand the parent-side oracle to inline mode, and vice versa.
 
         The oracle gains ``executor = self`` so oversized single
-        evaluations can split across the pool; inline tasks gain the
-        oracle's warm cache.
+        evaluations can split across the pool; inline tasks evaluate
+        with the parent's oracle (and its progress hook).
         """
         self._oracle = oracle
         if self._inline_state is not None:
@@ -460,7 +479,7 @@ class ParallelExecutor:
         """Run task ``name`` over ``payloads``; results in payload order.
 
         Inline mode runs synchronously (hooks fire from inside the
-        tasks, exactly as in the serial code). Pool mode dispatches
+        tasks). Pool mode dispatches
         through the supervised pool: worker crashes and timeouts are
         replayed transparently, and a payload that exhausts its retries
         is quarantined. With ``on_quarantine="raise"`` that surfaces a
@@ -468,7 +487,7 @@ class ParallelExecutor:
         result slot holds the :data:`QUARANTINED` sentinel and the
         caller degrades around it. Application exceptions (a task that
         *raised* rather than died) abort the rest and re-raise here,
-        exactly like the serial loop.
+        exactly like inline mode.
         """
         if on_quarantine not in ("raise", "skip"):
             raise ParameterError(

@@ -22,21 +22,22 @@ or in which order tasks complete:
   canonical node key before use.
 
 The same task functions run *inline* in the parent process when
-``workers=1`` — that is the reference the equivalence tests compare
-worker counts against.
+``workers`` is None or 1 — every serial run goes through them.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
-from repro.graphs.probabilistic import ProbabilisticGraph, edge_key
+from repro.graphs.probabilistic import ProbabilisticGraph
 from repro.core.global_truss import GlobalTrussOracle
 from repro.core.kernels import classify_worlds_packed
 from repro.core.nucleus import nucleus_cell
 from repro.core.reliability import count_connected_rows
 from repro.core.support_prob import (
-    SupportProbability,
+    support_level,
     support_pmf,
     triangle_probabilities,
 )
@@ -80,10 +81,10 @@ def _edge_sort_key(e):
 class WorkerState:
     """Per-process execution state shared by all tasks of one worker.
 
-    The same class backs the parent-side *inline* mode (``workers=1``):
-    there ``counters``/``cancel`` stay None (ticks become no-ops), the
-    oracle is the parent's own (warm cache), and ``progress`` is set by
-    the executor to the currently active parent hook before each map.
+    The same class backs the parent-side *inline* mode (``workers`` None
+    or 1): there ``counters``/``cancel`` stay None (ticks become no-ops),
+    the oracle is the parent's own, and ``progress`` is set by the
+    executor to the currently active parent hook before each map.
     """
 
     def __init__(self, graph: ProbabilisticGraph, samples=None, *,
@@ -131,6 +132,13 @@ class WorkerState:
         if self.cancel is not None and self.cancel.is_set():
             raise _WorkerCancelled()
 
+    @cached_property
+    def node_rank(self) -> dict:
+        """Every node's position in :func:`node_sort_key` order; sorting
+        by it gives the canonical order without rebuilding string keys."""
+        ordered = sorted(self.graph.nodes(), key=node_sort_key)
+        return {w: i for i, w in enumerate(ordered)}
+
     # -- component cache -----------------------------------------------
     def component(self, edges: tuple) -> ProbabilisticGraph:
         """Materialise (and cache) the subgraph over ``edges``.
@@ -169,20 +177,16 @@ def _gbu_seed(state: WorkerState, payload):
     seed_idx)`` — the per-seed RNG stream that makes the evaluation
     independent of scheduling.
     """
-    from repro.core.global_decomp import _extend_to_maximal, _grow_candidate
+    from repro.core.global_decomp import _evaluate_seed
 
     comp_edges, seed_edge, k, gamma, entropy = payload
     component = state.component(tuple(map(tuple, comp_edges)))
     rng = np.random.default_rng(np.random.SeedSequence(list(entropy)))
-    grown = _grow_candidate(component, tuple(seed_edge), k, rng)
-    if grown is None:
+    extended = _evaluate_seed(state.oracle, component, tuple(seed_edge), k,
+                              gamma, rng)
+    if extended is None:
         return None
-    if not state.oracle.satisfies(grown, k, gamma):
-        return None
-    extended = _extend_to_maximal(state.oracle, component, grown, k, gamma)
-    return sorted(
-        (edge_key(u, v) for u, v in extended.edges()), key=_edge_sort_key
-    )
+    return sorted(extended.edges(), key=_edge_sort_key)
 
 
 def _gtd_component(state: WorkerState, payload):
@@ -191,7 +195,7 @@ def _gtd_component(state: WorkerState, payload):
     Payload: ``(component_edges, k, gamma, max_states)``. Returns one
     sorted edge list per answer, in the search's (deterministic)
     discovery order. :class:`DecompositionError` propagates to the
-    parent, which treats it exactly like the serial search would.
+    parent, which treats it exactly like the frontier search's own.
     """
     from repro.core.global_decomp import top_down_search
 
@@ -201,10 +205,7 @@ def _gtd_component(state: WorkerState, payload):
         state.oracle, k, component, gamma,
         max_states=max_states, progress=state.hook,
     )
-    return [
-        sorted((edge_key(u, v) for u, v in t.edges()), key=_edge_sort_key)
-        for t in trusses
-    ]
+    return [sorted(t.edges(), key=_edge_sort_key) for t in trusses]
 
 
 def _gtd_frontier(state: WorkerState, payload):
@@ -217,38 +218,34 @@ def _gtd_frontier(state: WorkerState, payload):
     one ``("exp", successors)`` — its single-edge-deletion expansions
     after structural k-truss pruning and connected-component splitting,
     each a canonically sorted edge list in deterministic generation
-    order. The result is a pure function of the payload: the parent's
-    merge (shard-index order, then within-shard candidate order) is
-    therefore identical for every shard boundary and worker count.
+    order, minus repeats of a successor listed earlier in the shard.
+    The result is a pure function of the payload, and the parent's
+    merge (shard-index order, then within-shard candidate order) keeps
+    the first occurrence of each state, so the merged round is
+    identical for every shard boundary and worker count.
     """
-    from repro.core.global_decomp import (
-        _edge_subgraphs_of_components,
-        _prune_to_structural_ktruss,
-    )
+    from repro.core.global_decomp import _expansions
     from repro.runtime.progress import ProgressEvent
 
     comp_edges, shard, k, gamma = payload
     component = state.component(tuple(map(tuple, comp_edges)))
     out = []
+    # Many deletions in one round lead to the same residual state;
+    # dropping repeats here changes nothing but the memory the round's
+    # results take.
+    seen: set[frozenset] = set()
     for index, cand_edges in enumerate(shard):
-        candidate = component.edge_subgraph([tuple(e) for e in cand_edges])
+        candidate = component.edge_subgraph(cand_edges)
         state.hook(ProgressEvent("gtd-state", step=index, detail={"k": k}))
         if state.oracle.satisfies(candidate, k, gamma):
-            out.append(("sat", [tuple(e) for e in cand_edges]))
+            out.append(("sat", cand_edges))
             continue
-        key = {edge_key(u, v) for u, v in candidate.edges()}
         successors = []
-        for e in list(candidate.edges()):
-            remaining = set(key)
-            remaining.discard(edge_key(*e))
-            pruned = _prune_to_structural_ktruss(candidate, remaining, k)
-            if not pruned:
-                continue
-            for piece in _edge_subgraphs_of_components(candidate, pruned):
-                successors.append(sorted(
-                    (edge_key(u, v) for u, v in piece.edges()),
-                    key=_edge_sort_key,
-                ))
+        for piece in _expansions(candidate, k):
+            key = frozenset(piece)
+            if key not in seen:
+                seen.add(key)
+                successors.append(piece)
         out.append(("exp", successors))
     return out
 
@@ -295,16 +292,16 @@ def _pmf_init(state: WorkerState, payload):
     differ across processes).
     """
     gamma, pairs = payload
+    rank = state.node_rank
     out = []
     for i, (u, v) in enumerate(pairs):
         if i % _CANCEL_POLL == 0:
             state.check_cancel()
         p = state.graph.probability(u, v)
         tri = triangle_probabilities(state.graph, u, v)
-        qs = [tri[w] for w in sorted(tri, key=node_sort_key)]
+        qs = [tri[w] for w in sorted(tri, key=rank.__getitem__)]
         pmf = support_pmf(qs)
-        level = SupportProbability.from_factors(qs, pmf).level(gamma, p)
-        out.append((u, v, qs, pmf, level))
+        out.append((u, v, qs, pmf, support_level(pmf, gamma, p)))
     state.bump("local-init", len(pairs))
     return out
 
@@ -313,10 +310,10 @@ def _nucleus_cell(state: WorkerState, payload):
     """Run the initial support DPs for a chunk of r-cliques.
 
     Payload: ``(r, gamma, cells)`` with each cell a canonical clique
-    tuple. The float path is :func:`repro.core.nucleus.nucleus_cell` —
-    the same function the serial loop calls — with apex factors in
-    canonical node order, so every worker count (including the inline
-    parent) produces byte-identical ``(qs, pmf, level)`` triples.
+    tuple. The float path is :func:`repro.core.nucleus.nucleus_cell`,
+    with apex factors in canonical node order, so every worker count
+    (including the inline parent) produces byte-identical
+    ``(qs, pmf, level)`` triples.
     """
     _r, gamma, cells = payload
     out = []

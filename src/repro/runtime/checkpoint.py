@@ -297,23 +297,36 @@ class CheckpointStore:
         """Persist the mid-peel GTD state of one sharded round boundary.
 
         ``detail`` is a ``"gtd-frontier"`` progress event's payload: the
-        level ``k``, the component index, the next round number, and —
-        as edge lists — the level's answers so far (``found``), the
-        outstanding ``frontier``, and the ``visited`` state set. Written
-        atomically with a CRC like every other checkpoint file, so a
-        kill mid-write leaves the previous round's snapshot behind and
-        resume always lands on a complete round boundary.
+        level ``k``, the component index, the next round number, the
+        level's answers so far (``found``), the outstanding
+        ``frontier``, and the ``visited`` states, each an edge
+        collection. The search hands over its live sets; ``found`` and
+        ``visited`` are put in canonical order here, so set iteration
+        order never reaches the bytes on disk (the ``frontier`` is
+        already in canonical generation order and is written as given).
+        Written atomically with a CRC like every other checkpoint file,
+        so a kill mid-write leaves the previous round's snapshot behind
+        and resume always lands on a complete round boundary.
         """
+        from repro.core.global_decomp import _edge_sort_key
+
+        def ordered(edges):
+            return sorted(edges, key=_edge_sort_key)
+
         def encode_edges(edges):
             return [[encode_node(u), encode_node(v)] for u, v in edges]
 
+        visited = sorted(
+            (ordered(st) for st in detail["visited"]),
+            key=lambda st: [_edge_sort_key(e) for e in st],
+        )
         payload = {
             "k": int(detail["k"]),
             "comp_index": int(detail["comp_index"]),
             "round": int(detail["round"]),
-            "found": [encode_edges(t) for t in detail["found"]],
+            "found": [encode_edges(ordered(t)) for t in detail["found"]],
             "frontier": [encode_edges(c) for c in detail["frontier"]],
-            "visited": [encode_edges(s) for s in detail["visited"]],
+            "visited": [encode_edges(st) for st in visited],
         }
         body = _canonical_json(payload)
         wrapper = {"crc": zlib.crc32(body.encode("utf-8")), "payload": payload}

@@ -239,13 +239,26 @@ def _pool_faults_of(progress):
 
 
 def _quarantine_report(executor) -> tuple[list, int]:
-    """The quarantine records and worst-case sample-row loss so far."""
-    if executor is None:
-        return [], 0
+    """The quarantine records and worst-case sample-row loss so far
+    (none before the executor exists)."""
     return (
         list(getattr(executor, "quarantined", [])),
         int(getattr(executor, "sample_rows_lost", 0)),
     )
+
+
+def _open_executor(workers, graph, progress, samples=None, **supervision):
+    """The executor one run's compute stages dispatch through.
+
+    ``workers=None`` gives the inline executor; a FaultPlan found in
+    ``progress`` arms its pool faults; ``supervision`` carries the
+    ``task_timeout`` / ``task_cpu_timeout`` / ``max_task_retries`` knobs.
+    Use it as a context manager: it is started on entry, closed on exit.
+    """
+    from repro.parallel import ParallelExecutor
+
+    return ParallelExecutor(workers, graph=graph, samples=samples,
+                            faults=_pool_faults_of(progress), **supervision)
 
 
 # ----------------------------------------------------------------------
@@ -285,15 +298,15 @@ def run_global(
         Cooperative limits; breaching them degrades the run instead of
         raising (see module docstring).
     workers:
-        Parallel mode: one :class:`~repro.parallel.ParallelExecutor`
-        (created after sampling, over the shared sample set) is threaded
-        through the local pruning and the k loop. GBU always draws from
-        per-seed RNG streams rooted at the int ``seed`` — serial and
-        parallel alike — so results are byte-identical for every
-        ``workers`` value, including None; a resumed run may change
-        ``workers`` freely. Checkpointed parallel runs additionally
-        require an int seed (a None seed's stream root cannot be
-        re-derived on resume).
+        Worker processes for the compute stages: one
+        :class:`~repro.parallel.ParallelExecutor` (created after
+        sampling, over the shared sample set) is threaded through the
+        local pruning and the k loop; ``None`` makes it the inline
+        executor. GBU draws from per-seed RNG streams rooted at the int
+        ``seed``, so results are byte-identical for every ``workers``
+        value, including None; a resumed run may change ``workers``
+        freely. Checkpointed runs therefore require an int seed (a None
+        seed's stream root cannot be re-derived on resume).
     task_timeout / max_task_retries:
         Supervision knobs forwarded to the executor: seconds one payload
         may hold a worker before it is killed and retried, and how many
@@ -339,9 +352,9 @@ def run_global(
     """
     store = CheckpointStore(checkpoint_dir) if checkpoint_dir else None
     seed = _require_plain_seed(seed, store is not None)
-    if workers is not None and store is not None and seed is None:
+    if store is not None and seed is None:
         raise CheckpointError(
-            "checkpointed parallel runs need an int seed: the per-seed "
+            "checkpointed global runs need an int seed: the per-seed "
             "RNG streams are rooted at it, and a root derived from a "
             "None seed cannot be re-derived on resume"
         )
@@ -361,8 +374,8 @@ def run_global(
         "max_k": max_k,
         "max_states": max_states,
         "graph": _graph_fingerprint(graph),
-        # One determinism family: serial GBU uses the same per-seed RNG
-        # streams the parallel mode fans out, so results are
+        # One determinism family: every worker count, None included,
+        # runs the same per-seed RNG streams, so results are
         # byte-identical for workers in {None, 1, 2, 4, ...}. The worker
         # *count* is deliberately absent — any count resumes any
         # compatible run. (Pre-unification "sequential" checkpoints are
@@ -481,7 +494,9 @@ def run_global(
         detail = {}
         if quarantined:
             detail["quarantined"] = [q.to_dict() for q in quarantined]
-        if supervision["executor"] is not None:
+        if workers is not None and supervision["executor"] is not None:
+            # Pool counters are reported for explicit worker counts only;
+            # a serial run's detail carries none.
             detail["supervision"] = (
                 supervision["executor"].supervision_stats()
             )
@@ -571,7 +586,6 @@ def run_global(
     # compute stages only; the sampling stage above is sequential-RNG
     # and stays out of it by design. A spilled sample set's memmap file
     # (and its directory, when privately created) lives exactly as long.
-    executor = None
     spill_store = None
     try:
         if spill_pending:
@@ -594,28 +608,21 @@ def run_global(
                 except ComputationInterrupted as err:
                     _attach_checkpoint(err, store)
                     raise
-        if workers is not None:
-            from repro.parallel import ParallelExecutor
-
-            executor = ParallelExecutor(
-                workers, graph=graph, samples=world_set,
-                task_timeout=task_timeout,
-                task_cpu_timeout=task_cpu_timeout,
-                max_task_retries=max_task_retries,
-                faults=_pool_faults_of(progress),
-            ).start()
+        with _open_executor(
+            workers, graph, progress, samples=world_set,
+            task_timeout=task_timeout, task_cpu_timeout=task_cpu_timeout,
+            max_task_retries=max_task_retries,
+        ) as executor:
             supervision["executor"] = executor
-        return _run_global_compute(
-            graph, gamma, delta, seed, max_k, max_states, budget, store,
-            progress, gtd_fraction, degr, hook, rng, completed, state,
-            write_manifest, finish,
-            effective_epsilon=effective_epsilon, n_drawn=n_drawn,
-            world_set=world_set, executor=executor,
-            frontier_state=frontier_state,
-        )
+            return _run_global_compute(
+                graph, gamma, delta, seed, max_k, max_states, budget, store,
+                progress, gtd_fraction, degr, hook, rng, completed, state,
+                write_manifest, finish,
+                effective_epsilon=effective_epsilon, n_drawn=n_drawn,
+                world_set=world_set, executor=executor,
+                frontier_state=frontier_state,
+            )
     finally:
-        if executor is not None:
-            executor.close()
         if spill_store is not None:
             spill_store.cleanup()
 
@@ -769,8 +776,95 @@ def _run_global_compute(
 
 
 # ----------------------------------------------------------------------
-# Local decomposition
+# Peeling decompositions: local truss and (r, s)-nucleus
 # ----------------------------------------------------------------------
+def _run_peel(graph, kind, spec, key, *, decompose, wrap, detail, scored,
+              budget, checkpoint_dir, resume, progress, on_corrupt, workers,
+              **supervision) -> PartialResult:
+    """The peeling run behind :func:`run_local` and :func:`run_nucleus`.
+
+    ``spec`` holds the kind's own checkpoint parameters; the finished
+    score map is stored under manifest key ``key`` as rows of encoded
+    cell nodes followed by the score. ``decompose(hook, executor)`` runs
+    the peel and returns the score map, ``wrap(scores)`` builds the
+    result object, ``detail(scores)`` its detail dict, and
+    ``scored(n)`` says how many of ``n`` partial scores a budget breach
+    salvaged.
+    """
+    store = CheckpointStore(checkpoint_dir) if checkpoint_dir else None
+    params = {
+        "kind": kind, **spec, "graph": _graph_fingerprint(graph),
+        # Support PMFs fold triangle factors in canonical node order for
+        # every worker count, so any two counts resume each other's
+        # manifests; a manifest recording another order refuses.
+        "pmf_order": "canonical",
+    }
+    degr = _Degradations()
+    store = _wrap_store(store, degr.note, progress)
+    if budget is not None:
+        budget.start()
+    hook = chain_hooks(progress, budget)
+
+    def to_partial(scores, complete, reason=None):
+        reasons = [r for r in (reason, degr.reason) if r]
+        reason = "; ".join(reasons) if reasons else None
+        return PartialResult(
+            kind=kind, result=wrap(scores), complete=complete,
+            degraded=reason is not None, reason=reason,
+            checkpoint_path=str(store.path) if store else None,
+            elapsed_seconds=budget.elapsed() if budget else None,
+            detail=detail(scores),
+        )
+
+    if store is not None and resume:
+        manifest = _resume_or_clear(store, params, on_corrupt)
+        if manifest is not None and manifest.get("status") == "complete":
+            scores = {
+                tuple(decode_node(x) for x in row[:-1]): int(row[-1])
+                for row in manifest[key]
+            }
+            return to_partial(scores, complete=True)
+
+    try:
+        with _open_executor(workers, graph, progress,
+                            **supervision) as executor:
+            scores = decompose(hook, executor)
+    except TaskQuarantinedError as err:
+        # The initial-DP chunks are exact prerequisites: no sound
+        # degradation, so the run ends incomplete, naming the poison
+        # payloads.
+        return to_partial(
+            {}, complete=False,
+            reason=f"parallel init quarantined poison payloads: {err}",
+        )
+    except BudgetExceededError as err:
+        partial = err.partial or {}
+        return to_partial(dict(partial), complete=False,
+                          reason=f"{err}; {scored(len(partial))}")
+    except MemoryError as err:
+        partial = getattr(err, "partial", None) or {}
+        return to_partial(
+            dict(partial), complete=False,
+            reason=f"out of memory during peeling: {err}",
+        )
+    except ComputationInterrupted as err:
+        _attach_checkpoint(err, store)
+        raise
+
+    if store is not None:
+        store.save_manifest({
+            "params": params,
+            "status": "complete",
+            key: sorted(
+                [encode_node(x) for x in cell] + [score]
+                for cell, score in scores.items()
+            ),
+        })
+        if not store.degraded:
+            store.collect_garbage()
+    return to_partial(scores, complete=True)
+
+
 def run_local(
     graph: ProbabilisticGraph,
     gamma: float,
@@ -796,103 +890,27 @@ def run_local(
     partial result.
 
     ``workers`` parallelises the initial support DPs (the peeling stays
-    serial); its canonical triangle-factor ordering is tagged into the
-    checkpoint parameters, so serial and parallel runs never resume each
-    other's manifests, but any two worker counts do.
+    serial); ``None`` runs them inline. Their triangle factors are
+    folded in canonical order for every worker count, so any two
+    counts, None included, resume each other's manifests.
     """
-    store = CheckpointStore(checkpoint_dir) if checkpoint_dir else None
-    params = {
-        "kind": "local",
-        "gamma": gamma,
-        "method": method,
-        "graph": _graph_fingerprint(graph),
-        "pmf_order": "canonical" if workers is not None else "adjacency",
-    }
-    degr = _Degradations()
-    store = _wrap_store(store, degr.note, progress)
-    if budget is not None:
-        budget.start()
-    hook = chain_hooks(progress, budget)
-
-    def to_partial(trussness, complete, reason=None):
-        result = LocalTrussResult(
-            graph=graph, gamma=gamma, trussness=trussness, method=method,
-        )
-        reasons = [r for r in (reason, degr.reason) if r]
-        reason = "; ".join(reasons) if reasons else None
-        return PartialResult(
-            kind="local", result=result, complete=complete,
-            degraded=reason is not None, reason=reason,
-            checkpoint_path=str(store.path) if store else None,
-            elapsed_seconds=budget.elapsed() if budget else None,
-            detail={"edges_assigned": len(trussness),
-                    "edges_total": graph.number_of_edges()},
-        )
-
-    if store is not None and resume:
-        manifest = _resume_or_clear(store, params, on_corrupt)
-        if manifest is not None and manifest.get("status") == "complete":
-            trussness = {
-                (decode_node(u), decode_node(v)): int(tau)
-                for u, v, tau in manifest["trussness"]
-            }
-            return to_partial(trussness, complete=True)
-
-    executor = None
-    if workers is not None:
-        from repro.parallel import ParallelExecutor
-
-        executor = ParallelExecutor(
-            workers, graph=graph,
-            task_timeout=task_timeout, task_cpu_timeout=task_cpu_timeout,
-            max_task_retries=max_task_retries,
-            faults=_pool_faults_of(progress),
-        ).start()
-    try:
-        result = local_truss_decomposition(graph, gamma, method=method,
-                                           progress=hook,
-                                           executor=executor)
-    except TaskQuarantinedError as err:
-        # pmf-init chunks are exact prerequisites: no sound degradation,
-        # so the run ends incomplete, naming the poison payloads.
-        return to_partial(
-            {}, complete=False,
-            reason=f"parallel init quarantined poison payloads: {err}",
-        )
-    except BudgetExceededError as err:
-        partial = err.partial or {}
-        return to_partial(
-            dict(partial), complete=False,
-            reason=(
-                f"{err}; {len(partial)} of {graph.number_of_edges()} "
-                "edges assigned"
-            ),
-        )
-    except MemoryError as err:
-        partial = getattr(err, "partial", None) or {}
-        return to_partial(
-            dict(partial), complete=False,
-            reason=f"out of memory during peeling: {err}",
-        )
-    except ComputationInterrupted as err:
-        _attach_checkpoint(err, store)
-        raise
-    finally:
-        if executor is not None:
-            executor.close()
-
-    if store is not None:
-        store.save_manifest({
-            "params": params,
-            "status": "complete",
-            "trussness": sorted(
-                [encode_node(u), encode_node(v), tau]
-                for (u, v), tau in result.trussness.items()
-            ),
-        })
-        if not store.degraded:
-            store.collect_garbage()
-    return to_partial(result.trussness, complete=True)
+    n_edges = graph.number_of_edges()
+    return _run_peel(
+        graph, "local", {"gamma": gamma, "method": method}, "trussness",
+        decompose=lambda hook, executor: local_truss_decomposition(
+            graph, gamma, method=method, progress=hook, executor=executor,
+        ).trussness,
+        wrap=lambda tau: LocalTrussResult(
+            graph=graph, gamma=gamma, trussness=tau, method=method,
+        ),
+        detail=lambda tau: {"edges_assigned": len(tau),
+                            "edges_total": n_edges},
+        scored=lambda n: f"{n} of {n_edges} edges assigned",
+        budget=budget, checkpoint_dir=checkpoint_dir, resume=resume,
+        progress=progress, on_corrupt=on_corrupt, workers=workers,
+        task_timeout=task_timeout, task_cpu_timeout=task_cpu_timeout,
+        max_task_retries=max_task_retries,
+    )
 
 
 def run_nucleus(
@@ -927,115 +945,29 @@ def run_nucleus(
     """
     from repro.core.nucleus import NucleusResult, nucleus_decomposition
 
-    store = CheckpointStore(checkpoint_dir) if checkpoint_dir else None
-    params = {
-        "kind": "nucleus",
-        "r": r,
-        "s": s,
-        "gamma": gamma,
-        "method": method,
-        "graph": _graph_fingerprint(graph),
-        "pmf_order": "canonical",
-    }
-    degr = _Degradations()
-    store = _wrap_store(store, degr.note, progress)
-    if budget is not None:
-        budget.start()
-    hook = chain_hooks(progress, budget)
-
-    def to_partial(scores, complete, reason=None):
-        result = NucleusResult(
+    return _run_peel(
+        graph, "nucleus", {"r": r, "s": s, "gamma": gamma, "method": method},
+        "scores",
+        decompose=lambda hook, executor: nucleus_decomposition(
+            graph, r, s, gamma, method=method, progress=hook,
+            executor=executor,
+        ).scores,
+        wrap=lambda scores: NucleusResult(
             graph=graph, r=r, s=s, gamma=gamma, scores=scores, method=method,
-        )
-        reasons = [x for x in (reason, degr.reason) if x]
-        reason = "; ".join(reasons) if reasons else None
-        return PartialResult(
-            kind="nucleus", result=result, complete=complete,
-            degraded=reason is not None, reason=reason,
-            checkpoint_path=str(store.path) if store else None,
-            elapsed_seconds=budget.elapsed() if budget else None,
-            detail={"r": r, "s": s, "cliques_assigned": len(scores)},
-        )
-
-    if store is not None and resume:
-        manifest = _resume_or_clear(store, params, on_corrupt)
-        if manifest is not None and manifest.get("status") == "complete":
-            scores = {
-                tuple(decode_node(x) for x in row[:-1]): int(row[-1])
-                for row in manifest["scores"]
-            }
-            return to_partial(scores, complete=True)
-
-    executor = None
-    if workers is not None:
-        from repro.parallel import ParallelExecutor
-
-        executor = ParallelExecutor(
-            workers, graph=graph,
-            task_timeout=task_timeout, task_cpu_timeout=task_cpu_timeout,
-            max_task_retries=max_task_retries,
-            faults=_pool_faults_of(progress),
-        ).start()
-    try:
-        result = nucleus_decomposition(graph, r, s, gamma, method=method,
-                                       progress=hook, executor=executor)
-    except TaskQuarantinedError as err:
-        # nucleus-cell chunks are exact prerequisites: no sound
-        # degradation, so the run ends incomplete, naming the poison
-        # payloads.
-        return to_partial(
-            {}, complete=False,
-            reason=f"parallel init quarantined poison payloads: {err}",
-        )
-    except BudgetExceededError as err:
-        partial = err.partial or {}
-        return to_partial(
-            dict(partial), complete=False,
-            reason=f"{err}; {len(partial)} cliques scored",
-        )
-    except MemoryError as err:
-        partial = getattr(err, "partial", None) or {}
-        return to_partial(
-            dict(partial), complete=False,
-            reason=f"out of memory during peeling: {err}",
-        )
-    except ComputationInterrupted as err:
-        _attach_checkpoint(err, store)
-        raise
-    finally:
-        if executor is not None:
-            executor.close()
-
-    if store is not None:
-        store.save_manifest({
-            "params": params,
-            "status": "complete",
-            "scores": sorted(
-                [encode_node(x) for x in cell] + [nu]
-                for cell, nu in result.scores.items()
-            ),
-        })
-        if not store.degraded:
-            store.collect_garbage()
-    return to_partial(result.scores, complete=True)
+        ),
+        detail=lambda scores: {"r": r, "s": s,
+                               "cliques_assigned": len(scores)},
+        scored=lambda n: f"{n} cliques scored",
+        budget=budget, checkpoint_dir=checkpoint_dir, resume=resume,
+        progress=progress, on_corrupt=on_corrupt, workers=workers,
+        task_timeout=task_timeout, task_cpu_timeout=task_cpu_timeout,
+        max_task_retries=max_task_retries,
+    )
 
 
 # ----------------------------------------------------------------------
 # Network reliability
 # ----------------------------------------------------------------------
-def _count_connected(graph: ProbabilisticGraph, edges, presence) -> int:
-    """Count rows of ``presence`` whose world connects all graph nodes.
-
-    Thin wrapper over
-    :func:`repro.core.reliability.count_connected_rows` — the *same*
-    function the ``reliability-block`` worker task runs, which is what
-    makes the parallel fan-out bit-identical to this serial path.
-    """
-    from repro.core.reliability import count_connected_rows
-
-    return count_connected_rows(list(graph.nodes()), list(edges), presence)
-
-
 def run_reliability(
     graph: ProbabilisticGraph,
     *,
@@ -1064,7 +996,7 @@ def run_reliability(
     pool in windows of ``2 * workers`` batches while the RNG *draws*
     stay strictly sequential in the parent — the sample stream, and
     hence the estimate, is byte-identical for every worker count
-    (including the serial ``workers=None`` path; checkpoints are
+    (``None`` classifies inline, one batch at a time; checkpoints are
     interchangeable between all of them). Hit counts are additive over
     disjoint batches, so merge order cannot matter. The parent captures
     the RNG state before each draw, so a budget breach or interrupt
@@ -1141,28 +1073,23 @@ def run_reliability(
             detail=detail,
         )
 
-    executor = None
-    if workers is not None:
-        from repro.parallel import ParallelExecutor
-
-        executor = ParallelExecutor(
-            workers, graph=graph,
-            task_timeout=task_timeout, task_cpu_timeout=task_cpu_timeout,
-            max_task_retries=max_task_retries,
-            faults=_pool_faults_of(progress),
-        ).start()
-        supervision["executor"] = executor
     nodes = list(graph.nodes())
-    try:
+    with _open_executor(
+        workers, graph, progress, task_timeout=task_timeout,
+        task_cpu_timeout=task_cpu_timeout, max_task_retries=max_task_retries,
+    ) as executor:
+        supervision["executor"] = executor
+        # A pool classifies two batches per worker at a time; the inline
+        # executor one at a time.
+        window = (1 if executor.pool_workers == 1
+                  else 2 * executor.pool_workers)
         while batches_done < batcher.n_batches:
-            pooled = executor is not None and executor.pool_workers > 1
-            window = max(1, 2 * executor.pool_workers) if pooled else 1
             first = batches_done
             limit = min(batcher.n_batches, first + window)
             # Draw the whole window sequentially in the parent — the RNG
-            # stream is identical to the serial path for every worker
-            # count — capturing the state before each batch so the
-            # per-batch manifests below stay resume-accurate mid-window.
+            # stream is identical for every worker count — capturing the
+            # state before each batch so the per-batch manifests below
+            # stay resume-accurate mid-window.
             states = []
             rows_list = []
             payloads = []
@@ -1173,16 +1100,10 @@ def run_reliability(
                 payloads.append((nodes, edges, batcher.draw_presence(rows)))
             end_state = batcher.rng_state()
             try:
-                if pooled:
-                    counts = executor.map(
-                        "reliability-block", payloads, progress=hook,
-                        on_quarantine="skip",
-                    )
-                else:
-                    counts = [
-                        _count_connected(graph, edges, p[2])
-                        for p in payloads
-                    ]
+                counts = executor.map(
+                    "reliability-block", payloads, progress=hook,
+                    on_quarantine="skip",
+                )
             except MemoryError as err:
                 # Nothing from this window was merged; rewind the RNG so
                 # the manifest matches `batches_done` drawn batches.
@@ -1195,7 +1116,7 @@ def run_reliability(
             from repro.parallel.supervisor import QUARANTINED
 
             # Merge strictly in batch order: manifests and hook events
-            # fire per batch, exactly as in the serial loop.
+            # fire per batch.
             for offset, count in enumerate(counts):
                 j = first + offset
                 rows = rows_list[offset]
@@ -1233,9 +1154,6 @@ def run_reliability(
                 except ComputationInterrupted as err:
                     _attach_checkpoint(err, store)
                     raise
-    finally:
-        if executor is not None:
-            executor.close()
 
     write_manifest(status="complete")
     if store is not None and not store.degraded:

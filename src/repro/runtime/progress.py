@@ -20,13 +20,15 @@ Emitted phases
 ``global-level-done``  level k finished; ``detail["trusses"]`` holds the
                     maximal trusses found at k (``step`` = k)
 ``gtd-state``       Algorithm 4 explored another residual state
-``gtd-frontier``    (executor runs only) Algorithm 4 merged one sharded
+``gtd-frontier``    Algorithm 4 merged one sharded
                     peel round (``step`` = round index); ``detail``
                     carries the complete mid-peel snapshot — level
                     ``k``, component index, next round, answers found,
                     outstanding frontier and visited states — which the
                     harness checkpoints so kill/resume lands on a round
-                    boundary
+                    boundary. The collections are the search's live
+                    state, valid only during the call: copy what a
+                    hook keeps
 ``gbu-seed``        Algorithm 5 is processing seed ``step`` of ``total``
 ``oracle-eval``     the Monte-Carlo oracle classified another block of
                     candidate evaluations

@@ -179,8 +179,14 @@ class TrussService:
         trace stream and the (stateful) fault-plan hooks."""
         with self._emit_lock:
             if self.config.trace:
+                detail = event.detail
+                if event.phase == "gtd-frontier":
+                    # The snapshot's collections are the search's live
+                    # state (the whole visited set); trace its counters.
+                    detail = {key: detail[key] for key in
+                              ("k", "comp_index", "round", "states")}
                 print(f"[serve] {event.phase} step={event.step} "
-                      f"{json.dumps(event.detail, sort_keys=True, default=str)}",
+                      f"{json.dumps(detail, sort_keys=True, default=str)}",
                       flush=True)
             if self._progress is not None:
                 self._progress(event)

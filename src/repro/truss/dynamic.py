@@ -26,7 +26,7 @@ from collections.abc import Hashable
 
 from repro.exceptions import EdgeNotFoundError, ParameterError
 from repro.graphs.probabilistic import ProbabilisticGraph, edge_key
-from repro.core.support_prob import SupportProbability
+from repro.core.support_prob import SupportProbability, gamma_threshold
 
 __all__ = ["DynamicTruss", "DynamicLocalTruss"]
 
@@ -238,7 +238,7 @@ class DynamicLocalTruss:
         u, v = e
         return (
             self._pmfs[e].tail(self._k - 2) * self._graph.probability(u, v)
-            >= self._gamma * (1.0 - 1e-9)
+            >= gamma_threshold(self._gamma)
         )
 
     def _reduce_region(self, region: set[Edge]) -> None:

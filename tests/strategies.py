@@ -19,6 +19,11 @@ the same distributions instead of hand-rolling fixtures:
   enumeration. Every empirical frequency equals its true probability
   exactly, so Monte-Carlo-thresholded answers computed against it
   coincide with exact enumeration (``repro.core.exact_enum``).
+* :func:`dfs_global_decomposition` — the reference exact global
+  decomposition: Algorithm 3's level loop with the depth-first
+  :func:`~repro.core.global_decomp.top_down_search` on every component,
+  independent of the executor's round-synchronous frontier search that
+  ``global_truss_decomposition(method="gtd")`` runs.
 * hypothesis strategies (``probabilities``, ``q_lists``,
   ``dyadic_probabilities``) for the property-based cross-checks.
 """
@@ -34,6 +39,7 @@ from repro.graphs.sampling import WorldSampleSet
 
 __all__ = [
     "DYADIC_PROBS",
+    "dfs_global_decomposition",
     "dyadic_probabilities",
     "dyadic_random_graph",
     "exhaustive_sample_set",
@@ -186,3 +192,57 @@ def exhaustive_sample_set(
         presence[:, j] = (rows // divisor) % radix < threshold
         divisor *= radix
     return WorldSampleSet(presence, edges)
+
+
+def dfs_global_decomposition(
+    graph: ProbabilisticGraph,
+    gamma: float,
+    samples: WorldSampleSet,
+    max_states: int | None = None,
+):
+    """Exact global decomposition of ``graph`` via the depth-first GTD.
+
+    Runs Algorithm 3's k-loop — candidates are the edges of local
+    trussness >= k inside the previous level's answers, pruned to a
+    structural k-truss — and searches every connected candidate
+    component with :func:`~repro.core.global_decomp.top_down_search`
+    against ``samples``. The result carries the default epsilon/delta
+    and ``method="gtd"``, so it serialises to the same bytes as a
+    correct ``global_truss_decomposition(..., method="gtd")`` run on
+    the same sample set, whatever its worker count.
+    """
+    from repro.core.global_decomp import (
+        GlobalTrussResult,
+        _edge_subgraphs_of_components,
+        _filter_maximal,
+        _prune_to_structural_ktruss,
+        top_down_search,
+    )
+    from repro.core.global_truss import GlobalTrussOracle
+    from repro.core.local import local_truss_decomposition
+    from repro.graphs.probabilistic import edge_key
+
+    oracle = GlobalTrussOracle(samples)
+    trussness = local_truss_decomposition(graph, gamma).trussness
+    result = GlobalTrussResult(
+        graph=graph, gamma=gamma, epsilon=0.1, delta=0.1,
+        n_samples=samples.n_samples, method="gtd",
+    )
+    prev_union = {edge_key(u, v) for u, v in graph.edges()}
+    k = 2
+    while prev_union:
+        local_edges = {e for e, tau in trussness.items() if tau >= k}
+        candidates = _prune_to_structural_ktruss(
+            graph, local_edges & prev_union, k
+        )
+        found = {}
+        for piece in _edge_subgraphs_of_components(graph, candidates):
+            for t in top_down_search(oracle, k, piece, gamma, max_states):
+                found.setdefault(frozenset(t.edges()), t)
+        maximal = _filter_maximal(found)
+        if not maximal:
+            break
+        result.trusses[k] = list(maximal.values())
+        prev_union = set().union(*maximal)
+        k += 1
+    return result

@@ -8,9 +8,10 @@ compared on shared seeded inputs (``tests/strategies.py``):
   (:func:`~tests.strategies.exhaustive_sample_set`, dyadic
   probabilities) removes the sampling error entirely, so its answers
   must equal :func:`~repro.core.exact_enum.exact_global_decomposition`
-  for every non-dyadic gamma. The same inputs run through the inline
-  frontier-sharded executor path (``workers=1``) must serialise to the
-  same bytes as the serial DFS.
+  for every non-dyadic gamma. The same inputs run through the
+  frontier-sharded executor path (``workers=None`` and ``1``, inline)
+  must serialise to the same bytes as the depth-first Algorithm 4
+  (:func:`~tests.strategies.dfs_global_decomposition`).
 * **Support DP vs. brute force** — Algorithm 2's O(k^2) dynamic program
   against the O(2^k) enumeration oracle, exact (``==``) on dyadic
   factor lists and within float tolerance on arbitrary ones.
@@ -33,6 +34,7 @@ from repro.core.support_prob import support_pmf, support_pmf_bruteforce
 from repro.graphs.probabilistic import edge_key
 from repro.runtime.result import serialize_global_result
 from tests.strategies import (
+    dfs_global_decomposition,
     dyadic_probabilities,
     dyadic_random_graph,
     exhaustive_sample_set,
@@ -94,16 +96,17 @@ class TestGTDAgainstExhaustiveEnumeration:
     def test_inline_frontier_path_matches_serial_bytes(self, seed, graph):
         samples = exhaustive_sample_set(graph)
         for gamma in GAMMAS:
-            serial = global_truss_decomposition(
-                graph, gamma, method="gtd", samples=samples, seed=0,
-                max_states=200_000,
-            )
-            inline = global_truss_decomposition(
-                graph, gamma, method="gtd", samples=samples, seed=0,
-                max_states=200_000, workers=1,
-            )
-            assert (serialize_global_result(serial)
-                    == serialize_global_result(inline))
+            dfs = serialize_global_result(dfs_global_decomposition(
+                graph, gamma, samples, max_states=200_000,
+            ))
+            for workers in (None, 1):
+                inline = global_truss_decomposition(
+                    graph, gamma, method="gtd", samples=samples, seed=0,
+                    max_states=200_000, workers=workers,
+                )
+                assert serialize_global_result(inline) == dfs, (
+                    f"seed={seed} gamma={gamma} workers={workers}"
+                )
 
     @pytest.mark.slow
     @pytest.mark.parametrize(

@@ -1,9 +1,12 @@
 """Equivalence battery for intra-component frontier-sharded GTD.
 
-The contract under test (see ``docs/performance.md``): with an
-executor, the exact top-down search peels each component in
-round-synchronous frontier shards — and serialises to *the same bytes*
-as the serial DFS for every worker count, every shard boundary, every
+The contract under test (see ``docs/performance.md``): the exact
+top-down search peels each component in round-synchronous frontier
+shards — inline for ``workers=None``/``1``, across a pool otherwise —
+and serialises to *the same bytes* as the depth-first Algorithm 4
+(:func:`~repro.core.global_decomp.top_down_search`, run level by level
+by :func:`tests.strategies.dfs_global_decomposition` on the same
+samples) for every worker count, every shard boundary, every
 repetition, and straight through worker death and mid-peel
 kill/resume. Three structurally different families exercise it:
 
@@ -21,6 +24,7 @@ order anywhere in the pipeline.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,6 +35,7 @@ from repro.core.global_decomp import (
     global_truss_decomposition,
 )
 from repro.exceptions import CheckpointError, ComputationInterrupted
+from repro.graphs.sampling import WorldSampleSet
 from repro.graphs.generators import (
     planted_truss_graph,
     powerlaw_cluster_graph,
@@ -38,6 +43,7 @@ from repro.graphs.generators import (
 )
 from repro.runtime import FaultPlan, run_global, serialize_global_result
 from repro.runtime.checkpoint import CheckpointStore
+from tests.strategies import dfs_global_decomposition
 
 N_SAMPLES = 64
 BATCH = 32
@@ -71,21 +77,30 @@ def gtd_bytes(graph, gamma, workers, **kwargs):
     ))
 
 
+def dfs_bytes(graph, gamma):
+    """Reference bytes: the depth-first GTD on ``gtd_bytes``'s samples."""
+    samples = WorldSampleSet.from_graph(graph, N_SAMPLES,
+                                        seed=np.random.default_rng(9))
+    return serialize_global_result(
+        dfs_global_decomposition(graph, gamma, samples, MAX_STATES)
+    )
+
+
 class TestWorkerCountEquivalence:
     @pytest.mark.parametrize("name,make", FAMILIES, ids=[f[0] for f in FAMILIES])
     def test_bit_identical_across_worker_counts(self, name, make):
         graph, gamma = make()
-        reference = gtd_bytes(graph, gamma, None)
-        for workers in (1, 2):
+        reference = dfs_bytes(graph, gamma)
+        for workers in (None, 1, 2):
             assert gtd_bytes(graph, gamma, workers) == reference, (
-                f"{name}: workers={workers} diverged from serial"
+                f"{name}: workers={workers} diverged from the DFS"
             )
 
     @pytest.mark.slow
     @pytest.mark.parametrize("name,make", FAMILIES, ids=[f[0] for f in FAMILIES])
     def test_bit_identical_at_four_workers_and_repeated(self, name, make):
         graph, gamma = make()
-        reference = gtd_bytes(graph, gamma, None)
+        reference = dfs_bytes(graph, gamma)
         assert gtd_bytes(graph, gamma, 4) == reference
         # Repetition: nothing hidden (hash seeds, pool scheduling,
         # shard completion order) leaks into the bytes.
@@ -120,9 +135,9 @@ class TestFrontierCheckpoint:
 
     DETAIL = {
         "k": 3, "comp_index": 1, "round": 2,
-        "found": [[(0, 1), (1, 2), (0, 2)]],
+        "found": [[(0, 1), (0, 2), (1, 2)]],
         "frontier": [[(0, 1), (0, 3), (1, 3)], [(2, 3), (2, 4), (3, 4)]],
-        "visited": [[(0, 1), (1, 2), (0, 2)], [(0, 1), (0, 3), (1, 3)]],
+        "visited": [[(0, 1), (0, 2), (1, 2)], [(0, 1), (0, 3), (1, 3)]],
     }
 
     def test_round_trip(self, tmp_path):
@@ -130,6 +145,16 @@ class TestFrontierCheckpoint:
         assert store.load_frontier() is None
         store.save_frontier(self.DETAIL)
         assert store.load_frontier() == self.DETAIL
+
+    def test_live_sets_are_written_canonically(self, tmp_path):
+        live = dict(self.DETAIL,
+                    found=[frozenset(t) for t in self.DETAIL["found"]],
+                    visited={frozenset(st) for st in self.DETAIL["visited"]})
+        store = CheckpointStore(tmp_path)
+        store.save_frontier(self.DETAIL)
+        canonical = store.frontier_path.read_bytes()
+        store.save_frontier(live)
+        assert store.frontier_path.read_bytes() == canonical
 
     def test_clear_frontier(self, tmp_path):
         store = CheckpointStore(tmp_path)
@@ -190,7 +215,7 @@ class TestFrontierFaults:
         assert quarantined[0]["task"] == "gtd-frontier"
         assert quarantined[0]["fallback"] == "gbu"
 
-    @pytest.mark.parametrize("resume_workers", [2, 4])
+    @pytest.mark.parametrize("resume_workers", [2, 4, None])
     def test_kill_resume_lands_on_round_boundary(self, tmp_path,
                                                  resume_workers):
         graph, gamma = _planted()

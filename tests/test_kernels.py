@@ -283,12 +283,11 @@ class TestSpilledPeakAllocation:
         nodes = list(graph.nodes())
         # Warm up the lazy scipy.sparse import inside the classifier
         # (a one-time ~10 MB importlib transient that would swamp the
-        # measurement) and then drop the memoised estimates. The
-        # warm-up nodes are only the covered endpoints so the world
-        # classifier genuinely runs instead of fast-rejecting.
+        # measurement). The warm-up nodes are only the covered endpoints
+        # so the world classifier genuinely runs instead of
+        # fast-rejecting.
         warm_nodes = sorted({n for e in edges[:3] for n in e})
         oracle.satisfies_edges(edges[:3], warm_nodes, 2, 0.0)
-        oracle.clear_cache()
         tracemalloc.start()
         try:
             oracle.satisfies_edges(edges, nodes, 3, 0.1)

@@ -135,11 +135,55 @@ class TestInlineExecutor:
             assert ex.pool_workers == 1
 
     def test_local_trussness_matches_legacy(self):
+        """The inline ``pmf-init`` path (``workers=None`` and ``1``)
+        agrees with the independent work-list fixpoint of
+        :func:`local_truss_decomposition_iterative`."""
+        from repro.core.local_iterative import (
+            local_truss_decomposition_iterative,
+        )
+
         graph = mixed_graph()
-        legacy = local_truss_decomposition(graph, GAMMA)
+        legacy = local_truss_decomposition_iterative(graph, GAMMA)
+        assert local_truss_decomposition(graph, GAMMA).trussness == legacy
         with ParallelExecutor(1, graph=graph) as ex:
             inline = local_truss_decomposition(graph, GAMMA, executor=ex)
-        assert inline.trussness == legacy.trussness
+        assert inline.trussness == legacy
+
+    def test_serial_and_inline_gbu_do_the_same_oracle_work(self,
+                                                           monkeypatch):
+        """The inline executor (``workers=None`` or ``1``) dispatches
+        GBU seeds one at a time instead of speculating on a chunk the
+        merge then discards, so both evaluate exactly the seeds a
+        one-at-a-time pass does."""
+        from repro.core.global_truss import GlobalTrussOracle
+
+        raw_map = ParallelExecutor.map
+        seed_maps = []
+
+        def recording_map(executor, task, payloads, *args, **kwargs):
+            if task == "gbu-seed":
+                seed_maps.append((executor.pool_workers, len(payloads)))
+            return raw_map(executor, task, payloads, *args, **kwargs)
+
+        raw = GlobalTrussOracle.satisfies_edges
+        calls = []
+
+        def counting(oracle, *args, **kwargs):
+            calls[-1] += 1
+            return raw(oracle, *args, **kwargs)
+
+        monkeypatch.setattr(ParallelExecutor, "map", recording_map)
+        monkeypatch.setattr(GlobalTrussOracle, "satisfies_edges", counting)
+        for workers in (None, 1):
+            calls.append(0)
+            global_truss_decomposition(
+                running_example(), GAMMA, method="gbu", seed=4,
+                n_samples=N_SAMPLES, workers=workers,
+            )
+        assert seed_maps, "GBU dispatched no gbu-seed task"
+        assert all(pool == 1 and n == 1 for pool, n in seed_maps), seed_maps
+        assert calls[0] > 0
+        assert calls[0] == calls[1]
 
 
 class TestParallelEquivalence:

@@ -184,6 +184,16 @@ class TestLocalRun:
         assert resumed.complete
         assert (serialize_local_result(resumed.result)
                 == serialize_local_result(first.result))
+        # Serial and pooled runs share one manifest family: a manifest
+        # written under either worker setting resumes under the other.
+        for write, read in ((None, 2), (2, None)):
+            ck = tmp_path / f"written-{write}"
+            run_local(graph, 0.4, checkpoint_dir=ck, workers=write)
+            crossed = run_local(graph, 0.4, checkpoint_dir=ck, resume=True,
+                                workers=read)
+            assert crossed.complete
+            assert (serialize_local_result(crossed.result)
+                    == serialize_local_result(first.result))
 
     def test_checkpoint_refuses_other_gamma(self, tmp_path):
         graph = gnp_graph(20, 0.3, seed=1)
