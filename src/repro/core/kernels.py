@@ -6,8 +6,7 @@ The sampling oracle stores its ``N`` possible worlds bit-packed: one
 oracle evaluation immediately undid that packing with
 ``np.unpackbits(...).astype(bool)`` — an 8x memory blow-up per candidate
 that also defeated the spill-to-disk backend by re-materialising the
-memmapped samples in RAM, and that each worker process paid again for
-its own block of rows.
+memmapped samples in RAM.
 
 This module is the one place allowed to cross the packed/unpacked
 boundary. Everything here operates on the packed ``(ceil(N/8), m)``
@@ -16,8 +15,7 @@ instead of row scans — and unpacks only the (usually few) *partial*
 candidate rows that per-pattern classification genuinely needs. Each
 kernel has a pure-numpy unpacked counterpart next to its tests; results
 are exactly equal (integer counts) or bit-identical (float estimates),
-so the packed path is a drop-in replacement everywhere, including under
-the parallel row-block split.
+so the packed path is a drop-in replacement everywhere.
 
 Bit layout contract (from ``np.packbits(presence, axis=0)``): sample
 ``i`` of column ``j`` lives in byte ``packed[i >> 3, j]`` at bit
@@ -282,10 +280,6 @@ def classify_worlds_packed(
     dedup policy, without the full boolean projection. ``packed`` is the
     candidate's ``(B, m)`` packed column matrix (one column per entry of
     ``edges``) and ``candidate_rows`` the sample indices to classify.
-
-    Counts are additive over disjoint row sets — the property the
-    parallel oracle uses to classify row blocks in worker processes and
-    sum the integer counts with no change in the result.
     """
     edges = list(edges)
     counts = {e: 0 for e in edges}

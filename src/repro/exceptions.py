@@ -15,6 +15,7 @@ __all__ = [
     "EdgeNotFoundError",
     "InvalidProbabilityError",
     "ParameterError",
+    "MissingDependencyError",
     "DatasetError",
     "GraphParseError",
     "DecompositionError",
@@ -69,6 +70,11 @@ class InvalidProbabilityError(GraphError, ValueError):
 
 class ParameterError(ReproError, ValueError):
     """An algorithm parameter (k, gamma, epsilon, delta, ...) is invalid."""
+
+
+class MissingDependencyError(ReproError, ImportError):
+    """An optional dependency is not installed; the message names the
+    ``pip`` extra that provides it."""
 
 
 class DatasetError(ReproError):
@@ -160,9 +166,9 @@ class TaskQuarantinedError(ReproError):
     timed out more than ``max_task_retries`` times. ``quarantined``
     holds one :class:`repro.parallel.QuarantinedTask` record per poison
     payload, naming the task, the payload, the attempt count, and the
-    reason for every strike. Stages that *can* degrade (oracle blocks,
-    GBU seeds, GTD components) use the ``"skip"`` policy instead and
-    never see this exception.
+    reason for every strike. Stages that *can* degrade (GBU seeds, GTD
+    components) use the ``"skip"`` policy instead and never see this
+    exception.
     """
 
     def __init__(self, quarantined, message=None):

@@ -19,7 +19,11 @@ import json
 from collections.abc import Hashable
 from typing import Any
 
-from repro.graphs.probabilistic import ProbabilisticGraph, edge_key
+from repro.graphs.probabilistic import (
+    ProbabilisticGraph,
+    edge_key,
+    import_networkx,
+)
 from repro.core.local import LocalTrussResult
 from repro.core.metrics import (
     probabilistic_clustering_coefficient,
@@ -126,6 +130,4 @@ def write_gexf(
             k = trussness.get(edge_key(u, v))
             if k is not None:
                 nx_graph[u][v]["trussness"] = k
-    import networkx as nx
-
-    nx.write_gexf(nx_graph, path)
+    import_networkx().write_gexf(nx_graph, path)

@@ -31,6 +31,7 @@ from repro.exceptions import (
     EdgeNotFoundError,
     GraphError,
     InvalidProbabilityError,
+    MissingDependencyError,
     NodeNotFoundError,
     ParameterError,
 )
@@ -63,6 +64,18 @@ def _check_probability(p: float) -> float:
             f"edge probability must lie in [0, 1], got {p!r}"
         )
     return p
+
+
+def import_networkx():
+    """The ``networkx`` module, which only the interop helpers need."""
+    try:
+        import networkx
+    except ImportError as exc:
+        raise MissingDependencyError(
+            "networkx is required for networkx/GEXF interop; install it "
+            "with: pip install 'repro[interop]'"
+        ) from exc
+    return networkx
 
 
 class ProbabilisticGraph:
@@ -373,9 +386,7 @@ class ProbabilisticGraph:
     # ------------------------------------------------------------------
     def to_networkx(self) -> Any:
         """Return a ``networkx.Graph`` with probabilities as the ``p`` edge attr."""
-        import networkx as nx
-
-        g = nx.Graph()
+        g = import_networkx().Graph()
         g.add_nodes_from(self._adj)
         g.add_weighted_edges_from(self.edges_with_probabilities(), weight="p")
         return g

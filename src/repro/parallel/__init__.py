@@ -1,7 +1,7 @@
 """Multi-core execution layer (``--workers N``).
 
 Fans the compute-bound stages — GBU seed evaluation, GTD component
-search, oversized oracle evaluations, reliability sample batches, and
+search and frontier shards, reliability sample batches, and
 the initial support-PMF DPs — across worker processes while keeping
 results bit-identical to the ``workers=1`` inline path. The world
 sample set is published once into :mod:`multiprocessing.shared_memory`;

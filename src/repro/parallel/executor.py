@@ -14,9 +14,8 @@ payload means for each call site through ``map``'s ``on_quarantine``
 argument. ``"raise"`` (the default) surfaces a
 :class:`~repro.exceptions.TaskQuarantinedError`; ``"skip"`` returns the
 :data:`~repro.parallel.supervisor.QUARANTINED` sentinel in that
-payload's slot so degradable stages (oracle blocks, GBU seeds, GTD
-components) can widen their error bounds or fall back per-component
-instead of failing the run.
+payload's slot so degradable stages (GBU seeds, GTD components) can
+fall back per-component instead of failing the run.
 
 Tunables
 --------
@@ -54,17 +53,6 @@ _ABORT_GRACE = 30.0
 
 #: Default strike limit before a payload is quarantined.
 _MAX_TASK_RETRIES = 2
-
-#: Clamp bounds for the calibrated oracle dispatch threshold (candidate
-#: cells = rows x edges). The floor keeps a freakishly fast round-trip
-#: measurement from fanning out trivial evaluations; the ceiling keeps a
-#: cold-start hiccup from disabling parallelism outright.
-_MIN_CELLS_FLOOR = 1 << 14
-_MIN_CELLS_CEIL = 1 << 22
-
-#: Synthetic classification size used to measure serial throughput.
-_CALIBRATION_ROWS = 4096
-_CALIBRATION_EDGES = 32
 
 
 def resolve_workers(workers) -> int:
@@ -199,26 +187,15 @@ class ParallelExecutor:
 
     After any map, :attr:`quarantined` accumulates the
     :class:`~repro.parallel.supervisor.QuarantinedTask` records of every
-    poison payload seen so far and :attr:`sample_rows_lost` the largest
-    number of sample rows any single oracle evaluation had to drop —
-    the harness widens the reported epsilon accordingly.
+    poison payload seen so far.
     """
 
     def __init__(self, workers, *, graph, samples=None, oracle=None,
                  task_timeout=None, task_cpu_timeout=None,
                  max_task_retries=None, pump_interval=None,
-                 abort_grace=None, faults=None, parallel_min_cells=None):
+                 abort_grace=None, faults=None):
         self.workers = 1 if workers is None else resolve_workers(workers)
         self.pool_workers = 1
-        #: Oracle dispatch threshold (candidate cells) measured at pool
-        #: start; None until then (or forever, in inline mode) — the
-        #: oracle falls back to its fixed constant. Keyword >
-        #: ``REPRO_PARALLEL_MIN_CELLS`` > startup calibration.
-        self.parallel_min_cells = None
-        self._min_cells_override = _int_knob(
-            parallel_min_cells, "REPRO_PARALLEL_MIN_CELLS", None,
-            name="parallel_min_cells",
-        )
         self.task_timeout = _float_knob(
             task_timeout, "REPRO_TASK_TIMEOUT", None,
             name="task_timeout", allow_none=True,
@@ -252,7 +229,6 @@ class ParallelExecutor:
         self._inline_state = None
         self._started = False
         self.quarantined = []
-        self.sample_rows_lost = 0
 
     # -- lifecycle ------------------------------------------------------
     def start(self) -> "ParallelExecutor":
@@ -267,6 +243,13 @@ class ParallelExecutor:
             if ctx is not None:
                 try:
                     if self._samples is not None:
+                        # Workers classify sampled worlds with scipy's
+                        # connected components. Importing it before the
+                        # fork lets every worker inherit the module
+                        # instead of importing it (~0.4 s) on its first
+                        # task after each pool start.
+                        import scipy.sparse.csgraph  # noqa: F401
+
                         self._shared = SharedWorldSamples.publish(
                             self._samples
                         )
@@ -305,63 +288,7 @@ class ParallelExecutor:
         self._inline_state = WorkerState(
             self._graph, self._samples, oracle=self._oracle
         )
-        if self.pool_workers > 1:
-            if self._min_cells_override is not None:
-                self.parallel_min_cells = self._min_cells_override
-            elif self._fault_state is None:
-                # Skip under fault injection: the probe tasks would
-                # advance the workers' task counters and fire
-                # count-scoped faults one real task early.
-                self.parallel_min_cells = self._calibrate_dispatch()
         return self
-
-    def _calibrate_dispatch(self) -> int:
-        """Measure the oracle dispatch threshold on this machine.
-
-        Splitting one oracle evaluation across the pool pays one map
-        round-trip (serialize, queue, wake, return — measured with a
-        pool-wide no-op ``calibrate`` map) to save roughly
-        ``(1 - 1/W)`` of the serial classification time (throughput
-        measured on a synthetic packed classification). The break-even
-        candidate-cell count replaces the fixed ``_PARALLEL_MIN_CELLS``
-        guess, clamped to sane bounds. Timing lives here — not in the
-        oracle — because the threshold only gates *whether* a split
-        happens; serial and split classification return identical
-        counts, so a machine-dependent threshold cannot change results.
-        """
-        import time
-
-        import numpy as np
-
-        from repro.core import kernels
-
-        # Dispatch cost: median of a few pool-wide no-op round-trips
-        # (the first also absorbs any cold-start noise into the sort).
-        costs = []
-        for _ in range(5):
-            t0 = time.perf_counter()
-            self.map("calibrate", [None] * self.pool_workers,
-                     on_quarantine="skip")
-            costs.append(time.perf_counter() - t0)
-        dispatch_s = sorted(costs)[len(costs) // 2]
-
-        # Serial throughput: classify a synthetic packed block once.
-        rng = np.random.default_rng(np.random.SeedSequence(0))
-        rows, m = _CALIBRATION_ROWS, _CALIBRATION_EDGES
-        packed = rng.integers(0, 256, size=(rows // 8, m), dtype=np.uint8)
-        edges = [(i, i + 1) for i in range(m)]
-        nodes = list(range(m + 1))
-        t0 = time.perf_counter()
-        kernels.classify_worlds_packed(
-            edges, nodes, 2, packed,
-            np.arange(rows, dtype=np.int64),
-        )
-        classify_s = max(time.perf_counter() - t0, 1e-9)
-        cells_per_s = (rows * m) / classify_s
-
-        saved_fraction = 1.0 - 1.0 / self.pool_workers
-        break_even = dispatch_s * cells_per_s / max(saved_fraction, 1e-9)
-        return int(min(max(break_even, _MIN_CELLS_FLOOR), _MIN_CELLS_CEIL))
 
     def close(self) -> None:
         if self._pool is not None:
@@ -371,10 +298,6 @@ class ParallelExecutor:
         if self._shared is not None:
             self._shared.close()
             self._shared = None
-        if self._oracle is not None:
-            # Break the executor <-> oracle cycle, so a finished run's
-            # sample set is freed at once rather than at the next GC.
-            self._oracle.executor = None
         self.pool_workers = 1
 
     def __enter__(self) -> "ParallelExecutor":
@@ -445,26 +368,12 @@ class ParallelExecutor:
         """Live worker PIDs (empty in inline mode); tests kill these."""
         return [] if self._pool is None else self._pool.pids
 
-    def note_sample_loss(self, rows_lost: int) -> None:
-        """Record that one oracle evaluation dropped ``rows_lost`` rows.
-
-        The worst single evaluation bounds the accuracy statement: the
-        harness recomputes epsilon from ``N - sample_rows_lost``
-        effective samples, mirroring truncated sampling.
-        """
-        self.sample_rows_lost = max(self.sample_rows_lost, int(rows_lost))
-
     def attach_oracle(self, oracle) -> None:
-        """Hand the parent-side oracle to inline mode, and vice versa.
-
-        The oracle gains ``executor = self`` so oversized single
-        evaluations can split across the pool; inline tasks evaluate
-        with the parent's oracle (and its progress hook).
-        """
+        """Hand the parent-side oracle to inline mode: inline tasks
+        evaluate with it (and its progress hook)."""
         self._oracle = oracle
         if self._inline_state is not None:
             self._inline_state.oracle = oracle
-        oracle.executor = self
 
     def cache_component(self, edges, graph) -> None:
         """Let inline mode reuse an already-materialised component."""

@@ -33,7 +33,6 @@ import numpy as np
 
 from repro.graphs.probabilistic import ProbabilisticGraph
 from repro.core.global_truss import GlobalTrussOracle
-from repro.core.kernels import classify_worlds_packed
 from repro.core.nucleus import nucleus_cell
 from repro.core.reliability import count_connected_rows
 from repro.core.support_prob import (
@@ -250,39 +249,6 @@ def _gtd_frontier(state: WorkerState, payload):
     return out
 
 
-def _oracle_block(state: WorkerState, payload):
-    """Classify one block of sample rows for a single oracle evaluation.
-
-    Payload: ``(edges, nodes, k, packed, rows)`` where ``packed`` is the
-    byte-aligned slice of the parent's *packed* column projection
-    covering this block and ``rows`` the block's sample indices relative
-    to the slice start. The parent projects once and ships each worker
-    only its own bytes — the old payload made every worker re-project
-    the full boolean ``presence_matrix`` (8x unpacked) for its block.
-    Returns integer counts in ``edges`` order; the parent sums the
-    blocks (counts are additive over disjoint row sets).
-    """
-    state.check_cancel()
-    edges, nodes, k, packed, rows = payload
-    edges = [tuple(e) for e in edges]
-    counts = classify_worlds_packed(
-        edges, nodes, k, np.asarray(packed, dtype=np.uint8),
-        np.asarray(rows, dtype=np.int64),
-    )
-    return [counts[e] for e in edges]
-
-
-def _calibrate(state: WorkerState, payload):
-    """No-op round-trip probe for the dispatch-cost calibration.
-
-    The executor times a pool-wide map of these at startup to measure
-    what one payload's serialize/queue/wake/return actually costs on
-    this machine, replacing the fixed ``_PARALLEL_MIN_CELLS`` guess.
-    """
-    state.check_cancel()
-    return None
-
-
 def _pmf_init(state: WorkerState, payload):
     """Run the O(k_e^2) initial support DPs for a chunk of edges.
 
@@ -346,12 +312,10 @@ def _reliability_block(state: WorkerState, payload):
 
 
 TASKS = {
-    "calibrate": _calibrate,
     "gbu-seed": _gbu_seed,
     "gtd-component": _gtd_component,
     "gtd-frontier": _gtd_frontier,
     "nucleus-cell": _nucleus_cell,
-    "oracle-block": _oracle_block,
     "pmf-init": _pmf_init,
     "reliability-block": _reliability_block,
 }

@@ -238,15 +238,6 @@ def _pool_faults_of(progress):
     return None
 
 
-def _quarantine_report(executor) -> tuple[list, int]:
-    """The quarantine records and worst-case sample-row loss so far
-    (none before the executor exists)."""
-    return (
-        list(getattr(executor, "quarantined", [])),
-        int(getattr(executor, "sample_rows_lost", 0)),
-    )
-
-
 def _open_executor(workers, graph, progress, samples=None, **supervision):
     """The executor one run's compute stages dispatch through.
 
@@ -312,9 +303,8 @@ def run_global(
         may hold a worker before it is killed and retried, and how many
         strikes (crashes or timeouts) a payload survives before being
         quarantined. Quarantines degrade honestly — the result notes
-        every poison payload, oracle evaluations that lost sample rows
-        widen the effective epsilon, and a quarantined GTD component
-        falls back to GBU for that component only.
+        every poison payload, and a quarantined GTD component falls
+        back to GBU for that component only.
     checkpoint_dir / resume:
         Snapshot directory; with ``resume`` an existing compatible
         checkpoint is continued bit-identically.
@@ -470,11 +460,8 @@ def run_global(
     spill_info: dict = {}
 
     def finish(result, complete: bool) -> PartialResult:
-        quarantined, rows_lost = _quarantine_report(supervision["executor"])
-        # The worst single oracle evaluation bounds the accuracy claim:
-        # it classified only N - rows_lost samples, so epsilon widens to
-        # that effective sample count, exactly like truncated sampling.
-        eff_n = max(batcher.samples_drawn - rows_lost, 1)
+        quarantined = list(getattr(supervision["executor"], "quarantined", []))
+        eff_n = max(batcher.samples_drawn, 1)
         eff_eps = (
             epsilon if eff_n >= n_requested
             else hoeffding_epsilon(eff_n, delta)
@@ -484,12 +471,6 @@ def run_global(
             reasons.append(
                 f"{len(quarantined)} parallel payload(s) quarantined: "
                 + "; ".join(q.describe() for q in quarantined)
-            )
-        if rows_lost:
-            reasons.append(
-                f"worst oracle evaluation lost {rows_lost} sample rows "
-                "to quarantined blocks; epsilon widened to the "
-                f"{eff_n}-sample Hoeffding bound"
             )
         detail = {}
         if quarantined:
@@ -1054,7 +1035,7 @@ def run_reliability(
 
     def finish(complete: bool) -> PartialResult:
         estimate = hits / samples_done if samples_done else None
-        quarantined, _ = _quarantine_report(supervision["executor"])
+        quarantined = list(getattr(supervision["executor"], "quarantined", []))
         detail = {"hits": hits}
         if quarantined:
             detail["quarantined"] = [q.to_dict() for q in quarantined]

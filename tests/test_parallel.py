@@ -186,6 +186,29 @@ class TestInlineExecutor:
         assert calls[0] == calls[1]
 
 
+class TestPoolStart:
+    def test_starting_a_pool_dispatches_nothing(self, monkeypatch):
+        """Pool start publishes the samples and spawns workers, and no
+        map runs until the first real stage dispatches."""
+        raw_map = ParallelExecutor.map
+        dispatched = []
+
+        def recording_map(executor, task, payloads, *args, **kwargs):
+            dispatched.append(task)
+            return raw_map(executor, task, payloads, *args, **kwargs)
+
+        monkeypatch.setattr(ParallelExecutor, "map", recording_map)
+        graph = mixed_graph()
+        samples = WorldSampleSet.from_graph(graph, N_SAMPLES, seed=2)
+        with ParallelExecutor(2, graph=graph, samples=samples) as ex:
+            assert ex.pool_workers == 2
+            assert dispatched == []
+            assert ex.supervision_stats()["maps"] == 0
+            local_truss_decomposition(graph, GAMMA, executor=ex)
+            assert dispatched == ["pmf-init"]
+            assert ex.supervision_stats()["maps"] == 1
+
+
 class TestParallelEquivalence:
     """The headline property: identical output for workers in {1, 2, 4}."""
 

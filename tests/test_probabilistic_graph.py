@@ -279,3 +279,10 @@ class TestNetworkxInterop:
         g.add_edge(1, 2)
         pg = ProbabilisticGraph.from_networkx(g)
         assert pg.number_of_edges() == 1
+
+    def test_missing_networkx_names_the_extra(self, paper_graph, monkeypatch):
+        import sys
+
+        monkeypatch.setitem(sys.modules, "networkx", None)
+        with pytest.raises(ImportError, match=r"repro\[interop\]"):
+            paper_graph.to_networkx()

@@ -505,9 +505,13 @@ class TestSigintMidMap:
             graph, GAMMA, method="gbu", seed=8, n_samples=N_SAMPLES,
             batch_size=BATCH, workers=2,
         )
-        # local-init counter events are pumped only while the pmf-init
-        # pool map is in flight, so this fires mid-map by construction.
-        plan = FaultPlan().sigint_on_phase("local-init")
+        # Payload 0 of the pmf-init map spins for 0.5 s, holding the map
+        # in flight across several pump intervals; the pump emits a
+        # heartbeat on the first interval no counter moves, so the
+        # SIGINT fires mid-map however fast the other payloads finish.
+        plan = (FaultPlan()
+                .spin_task("pmf-init", seconds=0.5, payload_index=0)
+                .sigint_on_phase("parallel-heartbeat"))
         ck = tmp_path / "ck"
         with pytest.raises(ComputationInterrupted) as info:
             run_global(
