@@ -1,4 +1,5 @@
-"""Probabilistic (r, s)-nucleus decomposition (local semantics).
+"""Probabilistic (r, s)-nucleus decomposition, and the one peel engine
+behind it and the local (k, gamma)-truss decomposition.
 
 Generalises the local (k, gamma)-truss decomposition of
 :mod:`repro.core.local` from edges-supported-by-triangles to
@@ -26,11 +27,17 @@ to a sub-collection ``C`` of r-cliques where every member satisfies
 with ``sup_C(R)`` counting only s-cliques whose r-subcliques all lie in
 ``C``. For ``(r, s) = (2, 3)`` this is *definitionally* the local
 (k, gamma)-truss decomposition: ``q_x`` reduces to the co-triangle
-probability of Eq. 5 and ``Pr[R exists]`` to ``p(e)``, so the score
-dict equals :func:`~repro.core.local.local_truss_decomposition`'s
-``trussness`` — the built-in differential oracle the test battery
-leans on. The truss-style numbering ``k = support threshold + 2`` is
-kept for every (r, s).
+probability of Eq. 5 and ``Pr[R exists]`` to ``p(e)``. Algorithm 1
+therefore runs as the ``r = 2`` case of the peel engine here
+(:func:`_peel`), which :func:`nucleus_decomposition` and
+:func:`~repro.core.local.local_truss_decomposition` both wrap; the
+two agree by construction, so neither is an independent check of the
+other. The independent references are the work-list fixpoint
+:func:`~repro.core.local_iterative.local_truss_decomposition_iterative`,
+the deterministic
+:func:`~repro.truss.nucleus.structural_nucleus_decomposition`, and the
+test battery's brute-force fixpoint oracle. The truss-style numbering
+``k = support threshold + 2`` is kept for every (r, s).
 
 All factor orderings here are canonical (sorted by a cross-type node
 key), so serial runs and every executor worker count produce
@@ -39,11 +46,10 @@ byte-identical scores.
 
 from __future__ import annotations
 
-from collections.abc import Hashable
+from collections.abc import Callable, Hashable
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from repro.core.local import _LevelBuckets
 from repro.core.support_prob import (
     SupportProbability,
     support_level,
@@ -71,16 +77,23 @@ Clique = tuple
 
 _METHODS = ("dp", "baseline")
 
-#: Peeled r-cliques between progress-hook notifications (same cadence
-#: as the local-truss peel).
+#: Peeled r-cliques between two progress-hook notifications. Small
+#: enough that a budget breach overshoots by a fraction of a second even
+#: on the large synthetic networks, large enough to keep the hook off
+#: the per-clique hot path.
 _PROGRESS_INTERVAL = 64
 
 
-def _node_sort_key(w):
-    """Canonical cross-type node ordering; mirrors
-    :func:`repro.parallel.work.node_sort_key` (duplicated here because
-    ``repro.parallel`` imports from ``repro.core``, not vice versa)."""
+def node_sort_key(w):
+    """Canonical node ordering usable across mixed node types."""
     return (type(w).__name__, str(w))
+
+
+def node_rank(graph: ProbabilisticGraph) -> dict:
+    """Every node's position in :func:`node_sort_key` order; sorting by
+    it gives the canonical order without rebuilding string keys."""
+    ordered = sorted(graph.nodes(), key=node_sort_key)
+    return {w: i for i, w in enumerate(ordered)}
 
 
 def clique_probability(graph: ProbabilisticGraph, cell: Clique) -> float:
@@ -110,18 +123,175 @@ def apex_factor(graph: ProbabilisticGraph, cell: Clique, x: Node) -> float:
 
 
 def nucleus_cell(
-    graph: ProbabilisticGraph, gamma: float, cell: Clique
-) -> tuple[list[float], list[float], int]:
-    """Initial support state of one r-clique: ``(qs, pmf, level)``.
+    graph: ProbabilisticGraph, gamma: float, cell: Clique,
+    rank: dict | None = None,
+) -> tuple[list, list[float], list[float], float, int]:
+    """Initial support state of one r-clique:
+    ``(apexes, qs, pmf, prob, level)``.
 
-    The single float path for cell initialisation: the ``nucleus-cell``
-    task calls it for every worker count, inline or pooled.
+    ``apexes`` are the cell's s-clique apexes in canonical order
+    (``rank``, defaulting to :func:`node_rank` of ``graph``), ``qs``
+    their factors, ``pmf`` the support DP over them, and ``prob`` the
+    cell's own existence probability. The single float path for cell
+    initialisation: the ``pmf-init`` task calls it for both public
+    decompositions and every worker count, inline or pooled.
     """
-    prob = clique_probability(graph, cell)
-    apexes = sorted(apex_candidates(graph, cell), key=_node_sort_key)
+    if rank is None:
+        rank = node_rank(graph)
+    apexes = sorted(apex_candidates(graph, cell), key=rank.__getitem__)
     qs = [apex_factor(graph, cell, x) for x in apexes]
     pmf = support_pmf(qs)
-    return qs, pmf, support_level(pmf, gamma, prob)
+    prob = clique_probability(graph, cell)
+    return apexes, qs, pmf, prob, support_level(pmf, gamma, prob)
+
+
+class _LevelBuckets:
+    """Bucket queue over cells keyed by level (levels only decrease).
+
+    Takes ownership of ``levels``: the queue pops and lowers its
+    entries in place.
+    """
+
+    def __init__(self, levels: dict[Clique, int]):
+        self._level = levels
+        top = max(levels.values(), default=1)
+        self._buckets: list[set[Clique]] = [set() for _ in range(top + 1)]
+        for cell, lvl in levels.items():
+            self._buckets[lvl].add(cell)
+        self._cursor = 0
+
+    def __len__(self) -> int:
+        return len(self._level)
+
+    def pop_min(self) -> tuple[Clique, int]:
+        """Remove and return a (cell, level) pair of minimum level."""
+        while not self._buckets[self._cursor]:
+            self._cursor += 1
+        cell = self._buckets[self._cursor].pop()
+        del self._level[cell]
+        return cell, self._cursor
+
+    def update(self, cell: Clique, new_level: int) -> None:
+        """Lower the level of queued ``cell`` to ``new_level`` (no-op if
+        not lower)."""
+        old = self._level[cell]
+        if new_level >= old:
+            return
+        self._buckets[old].discard(cell)
+        self._level[cell] = new_level
+        self._buckets[new_level].add(cell)
+        if new_level < self._cursor:
+            self._cursor = new_level
+
+
+def _peel(
+    graph: ProbabilisticGraph,
+    r: int,
+    gamma: float,
+    method: str,
+    progress,
+    executor,
+    *,
+    nucleus: bool,
+    peel_event: Callable,
+) -> dict[Clique, int]:
+    """Score every r-clique by global peeling; ``{cell: score}`` in peel order.
+
+    Repeatedly retire the r-clique whose current level is smallest;
+    every s-clique through it stops supporting its other r-subcliques,
+    whose PMFs shed the corresponding Bernoulli factor (Eq. 8
+    deconvolution for ``method="dp"``, full O(k^2) recompute for
+    ``method="baseline"``).
+
+    The caller owns the phase vocabulary: in pooled runs the initial DP
+    chunks count under ``nucleus-init`` when ``nucleus`` is true and
+    ``local-init`` otherwise, and every ``_PROGRESS_INTERVAL`` retired
+    cells ``progress`` receives ``peel_event(step, total)``. A raising
+    hook aborts the peel; the scores assigned so far (final — peeling
+    emits them in nondecreasing order) are attached as
+    ``err.partial``.
+    """
+    if not 0.0 <= gamma <= 1.0:
+        raise ParameterError(f"gamma must be in [0, 1], got {gamma}")
+    if method not in _METHODS:
+        raise ParameterError(f"method must be one of {_METHODS}, got {method!r}")
+    from repro.parallel.executor import executor_for
+
+    cells = enumerate_r_cliques(graph, r)
+    # live[R] maps every apex x whose s-clique R + {x} is still intact
+    # to the factor q_x R's PMF holds for it, in canonical apex order.
+    live: dict[Clique, dict[Node, float]] = {}
+    pmfs: dict[Clique, SupportProbability] = {}
+    probs: dict[Clique, float] = {}
+    levels: dict[Clique, int] = {}
+    with executor_for(executor, graph) as executor:
+        # A few chunks per worker keeps stragglers short without
+        # drowning the pool in dispatch overhead.
+        size = max(1, -(-len(cells) // (executor.pool_workers * 4)))
+        chunks = [cells[i:i + size] for i in range(0, len(cells), size)]
+        results = executor.map(
+            "pmf-init", [(gamma, chunk, nucleus) for chunk in chunks],
+            progress=progress,
+        )
+        for i, chunk in enumerate(chunks):
+            # Release each chunk once read: its PMFs are copied out, and
+            # holding every chunk to the end would double peak memory.
+            states, results[i] = results[i], None
+            for cell, (apexes, qs, pmf, prob, level) in zip(chunk, states):
+                live[cell] = dict(zip(apexes, qs))
+                pmfs[cell] = SupportProbability.from_factors(qs, pmf)
+                probs[cell] = prob
+                levels[cell] = level
+
+    queue = _LevelBuckets(levels)
+    scores: dict[Clique, int] = {}
+    n_cells = len(cells)
+    k = 1
+    while queue:
+        if progress is not None and scores and (
+                len(scores) % _PROGRESS_INTERVAL == 0):
+            try:
+                progress(peel_event(len(scores), n_cells))
+            except Exception as err:
+                # Salvage the final scores assigned so far for callers
+                # that report partial results.
+                if getattr(err, "partial", None) is None:
+                    try:
+                        err.partial = dict(scores)
+                    except AttributeError:  # exceptions with __slots__
+                        pass
+                raise
+        cell, lvl = queue.pop_min()
+        # Running max mirrors deterministic truss peeling: a cell whose
+        # level cascaded below the current stage still met the stage-k
+        # stability condition when stage k began, so nu = k.
+        k = max(k, lvl)
+        scores[cell] = k
+        rests = [(cell[:i] + cell[i + 1:], y) for i, y in enumerate(cell)]
+        affected: list[Clique] = []
+        for x in live.pop(cell):
+            # The s-clique S = cell + {x} dies with cell. Each other
+            # r-subclique of S drops one vertex y of cell and gains the
+            # apex x; for it, S was the s-clique through apex y, and its
+            # map holds the exact factor its PMF folded in.
+            for rest, y in rests:
+                other = clique_key(rest + (x,))
+                q = live[other].pop(y)
+                if method == "dp":
+                    pmfs[other].remove_triangle(q)
+                affected.append(other)
+        if method == "baseline":
+            # Recompute affected PMFs from scratch with the full
+            # O(k^2) dynamic program over the still-intact s-cliques.
+            for other in affected:
+                qs = list(live[other].values())
+                pmfs[other] = SupportProbability.from_factors(
+                    qs, support_pmf(qs))
+        # Refresh levels; shedding a support only lowers the tail
+        # pointwise, so levels only decrease.
+        for other in affected:
+            queue.update(other, pmfs[other].level(gamma, probs[other]))
+    return scores
 
 
 @dataclass
@@ -153,8 +323,9 @@ class NucleusResult:
     gamma: float
     scores: dict[Clique, int]
     method: str = "dp"
-    _edges_cache: dict[int, list[tuple]] = field(default_factory=dict,
-                                                 repr=False)
+    _edges_cache: dict[int, list[tuple]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     @property
     def k_max(self) -> int:
@@ -193,7 +364,7 @@ class NucleusResult:
 
 
 def _edge_order(e: tuple) -> tuple:
-    return tuple(_node_sort_key(w) for w in e)
+    return tuple(node_sort_key(w) for w in e)
 
 
 def nucleus_decomposition(
@@ -218,8 +389,8 @@ def nucleus_decomposition(
     graph:
         Input probabilistic graph (not modified).
     r, s:
-        The nucleus family: ``(2, 3)`` (edges / triangles — identical
-        to :func:`~repro.core.local.local_truss_decomposition`) or
+        The nucleus family: ``(2, 3)`` (edges / triangles — the same
+        peel as :func:`~repro.core.local.local_truss_decomposition`) or
         ``(3, 4)`` (triangles / 4-cliques).
     gamma:
         Threshold in [0, 1].
@@ -233,120 +404,22 @@ def nucleus_decomposition(
         nondecreasing order) are attached as ``err.partial``.
     executor:
         Optional :class:`~repro.parallel.ParallelExecutor`; the initial
-        support DPs run in chunks via its ``nucleus-cell`` task (``None``
-        runs them on a private inline executor). Scores are
-        byte-identical for every worker count: all factor orderings are
-        canonical.
+        support DPs run in chunks via its ``pmf-init`` task, counted
+        under ``nucleus-init`` (``None`` runs them on a private inline
+        executor). Scores are byte-identical for every worker count:
+        all factor orderings are canonical.
 
     Returns
     -------
     NucleusResult
     """
     validate_rs(r, s)
-    if not 0.0 <= gamma <= 1.0:
-        raise ParameterError(f"gamma must be in [0, 1], got {gamma}")
-    if method not in _METHODS:
-        raise ParameterError(f"method must be one of {_METHODS}, got {method!r}")
-    from repro.parallel.executor import executor_for
+    from repro.runtime.progress import ProgressEvent
 
-    cells = enumerate_r_cliques(graph, r)
-    apexes: dict[Clique, list[Node]] = {
-        cell: sorted(apex_candidates(graph, cell), key=_node_sort_key)
-        for cell in cells
-    }
-    probs: dict[Clique, float] = {
-        cell: clique_probability(graph, cell) for cell in cells
-    }
-
-    pmfs: dict[Clique, SupportProbability] = {}
-    levels: dict[Clique, int] = {}
-    with executor_for(executor, graph) as executor:
-        # A few chunks per worker keeps stragglers short without
-        # drowning the pool in dispatch overhead (same sizing rule as
-        # the pmf-init fan-out).
-        size = max(1, -(-len(cells) // (executor.pool_workers * 4)))
-        payloads = [
-            (r, gamma, cells[i:i + size]) for i in range(0, len(cells), size)
-        ]
-        results = executor.map("nucleus-cell", payloads, progress=progress)
-        for i, chunk in enumerate(results):
-            # Release each chunk once read (see the pmf-init loop).
-            results[i] = None
-            for cell, qs, pmf, level in chunk:
-                cell = tuple(cell)
-                pmfs[cell] = SupportProbability.from_factors(qs, pmf)
-                levels[cell] = level
-
-    queue = _LevelBuckets(levels)
-    scores: dict[Clique, int] = {}
-    n_cells = len(cells)
-    k = 1
-    while queue:
-        if progress is not None and scores and (
-                len(scores) % _PROGRESS_INTERVAL == 0):
-            from repro.runtime.progress import ProgressEvent
-
-            try:
-                progress(ProgressEvent(
-                    "nucleus-peel", step=len(scores), total=n_cells,
-                ))
-            except Exception as err:
-                # Salvage the final scores assigned so far for callers
-                # that report partial results.
-                if getattr(err, "partial", None) is None:
-                    try:
-                        err.partial = dict(scores)
-                    except AttributeError:  # exceptions with __slots__
-                        pass
-                raise
-        cell, lvl = queue.pop_min()
-        # Running max mirrors the truss peel: a clique whose level
-        # cascaded below the current stage still met the stage-k
-        # stability condition when stage k began, so nu = k.
-        k = max(k, lvl)
-        scores[cell] = k
-        affected: list[Clique] = []
-        for x in apexes[cell]:
-            # The s-clique S = cell + {x}. Its other r-subcliques each
-            # drop one vertex y of `cell` and gain the apex; S supported
-            # them only while *all* of them (and `cell`) were alive.
-            siblings = [
-                (clique_key(cell[:i] + cell[i + 1:] + (x,)), y)
-                for i, y in enumerate(cell)
-            ]
-            if not all(queue.contains(o) for o, _ in siblings):
-                continue
-            for other, y in siblings:
-                if method == "dp":
-                    # Eq. 8 deconvolution: S's factor for `other` is the
-                    # product of the edges from its lost apex y into
-                    # `other` — the exact expression its initialisation
-                    # folded in, so the factor matches bit for bit.
-                    pmfs[other].remove_triangle(apex_factor(graph, other, y))
-                affected.append(other)
-        if method == "baseline":
-            # Recompute affected PMFs from scratch with the full
-            # O(k^2) dynamic program over the still-alive structure.
-            for other in affected:
-                qs = [
-                    apex_factor(graph, other, x)
-                    for x in apexes[other]
-                    if _supports(queue, other, x)
-                ]
-                pmfs[other] = SupportProbability.from_factors(
-                    qs, support_pmf(qs))
-        # Refresh levels; shedding a support only lowers the tail
-        # pointwise, so levels only decrease.
-        for other in affected:
-            queue.update(other, pmfs[other].level(gamma, probs[other]))
+    scores = _peel(
+        graph, r, gamma, method, progress, executor, nucleus=True,
+        peel_event=lambda step, total: ProgressEvent(
+            "nucleus-peel", step=step, total=total),
+    )
     return NucleusResult(graph=graph, r=r, s=s, gamma=gamma, scores=scores,
                          method=method)
-
-
-def _supports(queue: _LevelBuckets, cell: Clique, x: Node) -> bool:
-    """True while the s-clique ``cell + {x}`` still counts for ``cell``:
-    every other r-subclique must be alive (un-peeled)."""
-    return all(
-        queue.contains(clique_key(cell[:i] + cell[i + 1:] + (x,)))
-        for i in range(len(cell))
-    )

@@ -19,13 +19,13 @@ fall back per-component instead of failing the run.
 
 Tunables
 --------
-``pump_interval`` (progress-pump cadence) and ``abort_grace`` (how long
-an abort waits for workers to notice the cancel flag) accept keyword
-overrides, then the ``REPRO_PUMP_INTERVAL`` / ``REPRO_ABORT_GRACE``
-environment variables, then the defaults — all validated through
-:class:`~repro.exceptions.ParameterError`. ``task_timeout`` and
-``max_task_retries`` follow the same precedence with
-``REPRO_TASK_TIMEOUT`` / ``REPRO_MAX_TASK_RETRIES``.
+``task_timeout``, ``task_cpu_timeout`` and ``max_task_retries`` accept
+keyword overrides, then the ``REPRO_TASK_TIMEOUT`` /
+``REPRO_TASK_CPU_TIMEOUT`` / ``REPRO_MAX_TASK_RETRIES`` environment
+variables, then the defaults — all validated through
+:class:`~repro.exceptions.ParameterError`. The progress-pump cadence
+and the abort grace are fixed constants of
+:class:`~repro.parallel.supervisor.SupervisedPool`.
 """
 
 from __future__ import annotations
@@ -44,12 +44,6 @@ from repro.parallel.supervisor import (
 from repro.parallel.work import COUNTER_PHASES, TASKS, WorkerState
 
 __all__ = ["ParallelExecutor", "executor_for", "resolve_workers"]
-
-#: Default seconds between progress pumps while a map is in flight.
-_PUMP_INTERVAL = 0.05
-
-#: Default seconds to wait for tasks to notice the cancel flag.
-_ABORT_GRACE = 30.0
 
 #: Default strike limit before a payload is quarantined.
 _MAX_TASK_RETRIES = 2
@@ -85,38 +79,25 @@ def executor_for(executor, graph, workers=None, samples=None):
     return ParallelExecutor(workers, graph=graph, samples=samples)
 
 
-def _float_knob(value, env_name, default, *, name, allow_none=False,
-                minimum=0.0, inclusive=False):
-    """Resolve kwarg > environment > default for a float tunable."""
+def _timeout_knob(value, env_name, *, name):
+    """Resolve kwarg > environment > None for a positive timeout."""
     source = f"{name} keyword"
-    if value is None and not allow_none:
-        raw = os.environ.get(env_name)
-        if raw is None:
-            return default
-        source = f"environment variable {env_name}"
-        value = raw
-    elif value is None:
+    if value is None:
         raw = os.environ.get(env_name)
         if raw is None:
             return None
         source = f"environment variable {env_name}"
         value = raw
     if isinstance(value, str) and value.strip().lower() in ("none", ""):
-        if allow_none:
-            return None
-        raise ParameterError(f"{source} must be a number, got {value!r}")
+        return None
     try:
         result = float(value)
     except (TypeError, ValueError):
         raise ParameterError(
             f"{source} must be a number, got {value!r}"
         ) from None
-    ok = result >= minimum if inclusive else result > minimum
-    if not ok or result != result:  # also rejects NaN
-        op = ">=" if inclusive else ">"
-        raise ParameterError(
-            f"{source} must be {op} {minimum:g}, got {result!r}"
-        )
+    if not result > 0.0:  # also rejects NaN
+        raise ParameterError(f"{source} must be > 0, got {result!r}")
     return result
 
 
@@ -173,9 +154,6 @@ class ParallelExecutor:
     max_task_retries:
         Strikes (crashes or timeouts) a payload survives before it is
         quarantined; default 2, i.e. three attempts total.
-    pump_interval / abort_grace:
-        Progress-pump cadence and abort patience (see module docstring
-        for the kwarg/env/default precedence).
     faults:
         Optional :class:`~repro.runtime.faults.FaultPlan`; its pool
         faults (``kill_worker``, ``hang_task``,
@@ -192,29 +170,19 @@ class ParallelExecutor:
 
     def __init__(self, workers, *, graph, samples=None, oracle=None,
                  task_timeout=None, task_cpu_timeout=None,
-                 max_task_retries=None, pump_interval=None,
-                 abort_grace=None, faults=None):
+                 max_task_retries=None, faults=None):
         self.workers = 1 if workers is None else resolve_workers(workers)
         self.pool_workers = 1
-        self.task_timeout = _float_knob(
-            task_timeout, "REPRO_TASK_TIMEOUT", None,
-            name="task_timeout", allow_none=True,
+        self.task_timeout = _timeout_knob(
+            task_timeout, "REPRO_TASK_TIMEOUT", name="task_timeout",
         )
-        self.task_cpu_timeout = _float_knob(
-            task_cpu_timeout, "REPRO_TASK_CPU_TIMEOUT", None,
-            name="task_cpu_timeout", allow_none=True,
+        self.task_cpu_timeout = _timeout_knob(
+            task_cpu_timeout, "REPRO_TASK_CPU_TIMEOUT",
+            name="task_cpu_timeout",
         )
         self.max_task_retries = _int_knob(
             max_task_retries, "REPRO_MAX_TASK_RETRIES", _MAX_TASK_RETRIES,
             name="max_task_retries",
-        )
-        self.pump_interval = _float_knob(
-            pump_interval, "REPRO_PUMP_INTERVAL", _PUMP_INTERVAL,
-            name="pump_interval",
-        )
-        self.abort_grace = _float_knob(
-            abort_grace, "REPRO_ABORT_GRACE", _ABORT_GRACE,
-            name="abort_grace", inclusive=True,
         )
         self._graph = graph
         self._samples = samples
@@ -275,8 +243,6 @@ class ParallelExecutor:
                         task_timeout=self.task_timeout,
                         task_cpu_timeout=self.task_cpu_timeout,
                         max_task_retries=self.max_task_retries,
-                        pump_interval=self.pump_interval,
-                        abort_grace=self.abort_grace,
                         verify_segment=verify, rebuild_segment=rebuild,
                     ).start()
                     self.pool_workers = self.workers

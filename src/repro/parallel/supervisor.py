@@ -363,18 +363,23 @@ class SupervisedPool:
         busy task on an oversubscribed machine is not misclassified as
         hung. ``None`` disables CPU supervision (and its reporter
         thread).
-    pump_interval / abort_grace:
-        Progress-pump cadence and how long an abort waits for workers to
-        notice the cancel flag before SIGKILLing them.
     verify_segment / rebuild_segment:
         Optional shared-segment CRC check and re-publisher, called on
         every recovery event (see module docstring).
     """
 
+    #: Seconds between progress pumps (and CPU-clock reports) while a
+    #: map is in flight.
+    PUMP_INTERVAL = 0.05
+
+    #: Seconds an abort waits for workers to notice the cancel flag
+    #: before SIGKILLing them.
+    ABORT_GRACE = 30.0
+
     def __init__(self, ctx, workers: int, make_worker_args, *, cancel,
                  counters, task_timeout=None, task_cpu_timeout=None,
-                 max_task_retries=2, pump_interval=0.05, abort_grace=30.0,
-                 verify_segment=None, rebuild_segment=None):
+                 max_task_retries=2, verify_segment=None,
+                 rebuild_segment=None):
         self._ctx = ctx
         self._n_workers = workers
         self._make_worker_args = make_worker_args
@@ -383,8 +388,6 @@ class SupervisedPool:
         self._task_timeout = task_timeout
         self._task_cpu_timeout = task_cpu_timeout
         self._max_task_retries = max_task_retries
-        self._pump_interval = pump_interval
-        self._abort_grace = abort_grace
         self._verify_segment = verify_segment
         self._rebuild_segment = rebuild_segment
         self._workers: dict[int, _Worker] = {}
@@ -420,7 +423,7 @@ class SupervisedPool:
         self._next_id += 1
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         args = self._make_worker_args()
-        cpu_interval = (self._pump_interval
+        cpu_interval = (self.PUMP_INTERVAL
                         if self._task_cpu_timeout is not None else None)
         proc = self._ctx.Process(
             target=_worker_main, args=(wid, child_conn, *args, cpu_interval),
@@ -598,7 +601,7 @@ class SupervisedPool:
 
         def collect() -> None:
             conns = {w.conn: w for w in self._workers.values()}
-            ready = connection.wait(list(conns), timeout=self._pump_interval)
+            ready = connection.wait(list(conns), timeout=self.PUMP_INTERVAL)
             for conn in ready:
                 worker = conns[conn]
                 if worker.id not in self._workers:
@@ -670,7 +673,7 @@ class SupervisedPool:
         def pump() -> None:
             nonlocal last_pump, heartbeat
             now = time.monotonic()
-            if progress is None or now - last_pump < self._pump_interval:
+            if progress is None or now - last_pump < self.PUMP_INTERVAL:
                 return
             last_pump = now
             from repro.runtime.progress import ProgressEvent
@@ -747,7 +750,7 @@ class SupervisedPool:
         """
         if self._cancel is not None:
             self._cancel.set()
-        deadline = time.monotonic() + self._abort_grace
+        deadline = time.monotonic() + self.ABORT_GRACE
         while (any(w.current is not None for w in self._workers.values())
                and time.monotonic() < deadline):
             conns = {w.conn: w for w in self._workers.values()

@@ -33,13 +33,8 @@ import numpy as np
 
 from repro.graphs.probabilistic import ProbabilisticGraph
 from repro.core.global_truss import GlobalTrussOracle
-from repro.core.nucleus import nucleus_cell
+from repro.core.nucleus import node_rank, nucleus_cell
 from repro.core.reliability import count_connected_rows
-from repro.core.support_prob import (
-    support_level,
-    support_pmf,
-    triangle_probabilities,
-)
 from repro.parallel.shared import SharedSamplesHandle, attach_samples
 
 __all__ = [
@@ -47,7 +42,6 @@ __all__ = [
     "WorkerState",
     "TASKS",
     "build_worker_state",
-    "node_sort_key",
 ]
 
 #: Returned by :func:`run_task` in place of a result when the shared
@@ -60,17 +54,12 @@ CANCELLED = "__repro-parallel-cancelled__"
 COUNTER_PHASES = ("oracle-eval", "gtd-state", "local-init",
                   "nucleus-init", "reliability-rows")
 
-#: Edges between cancel-flag polls in the PMF-init loop.
+#: Cells between cancel-flag polls in the PMF-init loop.
 _CANCEL_POLL = 32
 
 
 class _WorkerCancelled(Exception):
     """Internal: the parent set the cancel flag; abandon the task."""
-
-
-def node_sort_key(w):
-    """Canonical node ordering usable across mixed node types."""
-    return (type(w).__name__, str(w))
 
 
 def _edge_sort_key(e):
@@ -133,10 +122,9 @@ class WorkerState:
 
     @cached_property
     def node_rank(self) -> dict:
-        """Every node's position in :func:`node_sort_key` order; sorting
-        by it gives the canonical order without rebuilding string keys."""
-        ordered = sorted(self.graph.nodes(), key=node_sort_key)
-        return {w: i for i, w in enumerate(ordered)}
+        """The canonical node order (:func:`repro.core.nucleus.node_rank`),
+        computed once per process."""
+        return node_rank(self.graph)
 
     # -- component cache -----------------------------------------------
     def component(self, edges: tuple) -> ProbabilisticGraph:
@@ -250,46 +238,26 @@ def _gtd_frontier(state: WorkerState, payload):
 
 
 def _pmf_init(state: WorkerState, payload):
-    """Run the O(k_e^2) initial support DPs for a chunk of edges.
-
-    Payload: ``(gamma, pairs)``. The triangle factors are ordered by the
-    canonical node key so every process — parent inline or any worker —
-    folds them into the DP in the same order (set iteration order would
-    differ across processes).
-    """
-    gamma, pairs = payload
-    rank = state.node_rank
-    out = []
-    for i, (u, v) in enumerate(pairs):
-        if i % _CANCEL_POLL == 0:
-            state.check_cancel()
-        p = state.graph.probability(u, v)
-        tri = triangle_probabilities(state.graph, u, v)
-        qs = [tri[w] for w in sorted(tri, key=rank.__getitem__)]
-        pmf = support_pmf(qs)
-        out.append((u, v, qs, pmf, support_level(pmf, gamma, p)))
-    state.bump("local-init", len(pairs))
-    return out
-
-
-def _nucleus_cell(state: WorkerState, payload):
     """Run the initial support DPs for a chunk of r-cliques.
 
-    Payload: ``(r, gamma, cells)`` with each cell a canonical clique
-    tuple. The float path is :func:`repro.core.nucleus.nucleus_cell`,
-    with apex factors in canonical node order, so every worker count
-    (including the inline parent) produces byte-identical
-    ``(qs, pmf, level)`` triples.
+    Payload: ``(gamma, cells, nucleus)`` with each cell a canonical
+    clique tuple — edges for the local truss, r-cliques for the nucleus
+    decomposition (r = ``len(cell)``). ``nucleus`` says which
+    decomposition asked, so each keeps its own progress vocabulary:
+    the chunk counts under ``nucleus-init`` or ``local-init``. The float
+    path is :func:`repro.core.nucleus.nucleus_cell` with apexes in the
+    canonical node order, so every process — parent inline or any
+    worker — returns byte-identical ``(apexes, qs, pmf, prob, level)``
+    states, one per cell, in payload order.
     """
-    _r, gamma, cells = payload
+    gamma, cells, nucleus = payload
+    rank = state.node_rank
     out = []
     for i, cell in enumerate(cells):
         if i % _CANCEL_POLL == 0:
             state.check_cancel()
-        cell = tuple(cell)
-        qs, pmf, level = nucleus_cell(state.graph, gamma, cell)
-        out.append((cell, qs, pmf, level))
-    state.bump("nucleus-init", len(cells))
+        out.append(nucleus_cell(state.graph, gamma, tuple(cell), rank))
+    state.bump("nucleus-init" if nucleus else "local-init", len(cells))
     return out
 
 
@@ -315,7 +283,6 @@ TASKS = {
     "gbu-seed": _gbu_seed,
     "gtd-component": _gtd_component,
     "gtd-frontier": _gtd_frontier,
-    "nucleus-cell": _nucleus_cell,
     "pmf-init": _pmf_init,
     "reliability-block": _reliability_block,
 }

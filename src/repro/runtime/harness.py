@@ -913,14 +913,15 @@ def run_nucleus(
 ) -> PartialResult:
     """Run a probabilistic (r, s)-nucleus decomposition under the harness.
 
-    Same contract as :func:`run_local` (the (2, 3) case *is*
-    ``run_local`` semantically): peeling is not internally resumable, so
-    the checkpoint stores the finished score map — ``resume`` returns it
-    instantly — and a budget breach salvages the scores assigned so far,
-    which are final because peeling emits them in nondecreasing order.
+    Same contract as :func:`run_local` (the (2, 3) case runs the same
+    peel as ``run_local``, under ``nucleus-*`` phases): peeling is not
+    internally resumable, so the checkpoint stores the finished score
+    map — ``resume`` returns it instantly — and a budget breach
+    salvages the scores assigned so far, which are final because
+    peeling emits them in nondecreasing order.
 
     ``workers`` parallelises the initial support DPs through the
-    ``nucleus-cell`` task; all factor orderings are canonical, so every
+    ``pmf-init`` task; all factor orderings are canonical, so every
     worker count (including None) is byte-identical and shares one
     manifest format.
     """

@@ -46,17 +46,19 @@ Emitted phases
 ``task-quarantined``  a payload exhausted ``max_task_retries`` and was
                     quarantined (``step`` = quarantine count this map;
                     ``detail``: task, payload_index, attempts, reason)
-``local-init``      (workers only) Algorithm 1's initial support DPs
-                    completed for another chunk of edges; counted in a
-                    shared counter and re-emitted by the pump (``step``
-                    = cumulative edges initialised)
+``local-init``      (workers only) a local truss run's ``pmf-init``
+                    task completed Algorithm 1's initial support DPs
+                    for another chunk of edges; counted in a shared
+                    counter and re-emitted by the pump (``step`` =
+                    cumulative edges initialised)
 ``nucleus-peel``    a block of r-cliques peeled by the probabilistic
                     (r, s)-nucleus decomposition (``step`` = cliques
                     scored so far, ``total`` = r-clique count)
-``nucleus-init``    (workers only) initial nucleus support DPs
-                    completed for another chunk of r-cliques; counted
-                    in a shared counter and re-emitted by the pump
-                    (``step`` = cumulative cliques initialised)
+``nucleus-init``    (workers only) a nucleus run's ``pmf-init`` task
+                    (any (r, s), ``(2, 3)`` included) completed the
+                    initial support DPs for another chunk of r-cliques;
+                    counted in a shared counter and re-emitted by the
+                    pump (``step`` = cumulative cliques initialised)
 ``resource-pressure``  a resource probe crossed a pressure threshold or
                     a pressure response fired (``detail``: resource —
                     ``memory``/``disk``/``cpu`` —, action, observed

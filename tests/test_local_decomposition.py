@@ -12,6 +12,7 @@ from repro import (
     maximal_local_trusses,
     truss_decomposition,
 )
+from repro.datasets import load_dataset
 from repro.graphs.generators import complete_graph, running_example
 from tests.strategies import random_probabilistic_graph
 
@@ -47,6 +48,16 @@ class TestBasics:
         result = local_truss_decomposition(paper_graph, 0.5)
         with pytest.raises(ParameterError):
             result.truss_edges(1)
+
+    def test_results_compare_equal_after_queries(self):
+        """``maximal_trusses`` fills a private cache; it must not make
+        two identical results compare unequal."""
+        graph = load_dataset("fruitfly", seed=1)
+        a = local_truss_decomposition(graph, 0.3)
+        b = local_truss_decomposition(graph, 0.3)
+        assert a == b
+        a.maximal_trusses(3)
+        assert a == b
 
 
 class TestGammaLimits:

@@ -1,12 +1,16 @@
 """Differential correctness battery for (r, s)-nucleus decomposition.
 
-The nucleus workload ships with a built-in oracle: the (2, 3)-nucleus
-*is* the local truss decomposition (docs/nucleus.md walks the
-argument), so :func:`~repro.core.nucleus.nucleus_decomposition` at
-``(r, s) = (2, 3)`` must reproduce
+The (2, 3)-nucleus *is* the local truss decomposition
+(docs/nucleus.md walks the argument), and both public functions wrap
+one peel engine, so :func:`~repro.core.nucleus.nucleus_decomposition`
+at ``(r, s) = (2, 3)`` must reproduce
 :func:`~repro.core.local.local_truss_decomposition` bit for bit —
-serially and through the worker pool. The genuinely new (3, 4) case is
-checked three independent ways:
+serially and through the worker pool. Sharing the engine, the two do
+not check each other; the independent (2, 3) reference is the
+work-list fixpoint
+:func:`~repro.core.local_iterative.local_truss_decomposition_iterative`,
+which ``tests/test_local_iterative.py`` compares with the engine.
+The (3, 4) case is checked three independent ways:
 
 * against a definitional **brute-force fixpoint oracle** (``bf_scores``
   below) that re-derives every nucleus level from first principles,
@@ -42,6 +46,7 @@ from repro import (
 )
 from repro.core.nucleus import apex_factor, clique_probability, nucleus_cell
 from repro.core.support_prob import support_pmf_bruteforce
+from repro.datasets import load_dataset
 from repro.runtime.result import serialize_nucleus_result
 from repro.truss.nucleus import (
     SUPPORTED_RS,
@@ -261,7 +266,8 @@ class TestWorldEnumeration:
             for r, s in SUPPORTED_RS:
                 for cell in enumerate_r_cliques(g, r)[:6]:
                     apexes = sorted(apex_candidates(g, cell), key=repr)
-                    qs, pmf, _level = nucleus_cell(g, 0.5, cell)
+                    _apexes, qs, pmf, _prob, _level = nucleus_cell(
+                        g, 0.5, cell)
                     prob = clique_probability(g, cell)
                     for t in range(len(qs) + 1):
                         dp_mass = prob * sum(pmf[t:])
@@ -304,6 +310,16 @@ class TestResultApiAndValidation:
         res = nucleus_decomposition(k4, 3, 4, 0.1)
         with pytest.raises(ParameterError):
             res.nucleus_cliques(1)
+
+    def test_results_compare_equal_after_queries(self):
+        """``nucleus_edges`` fills a private cache; it must not make
+        two identical results compare unequal."""
+        g = load_dataset("fruitfly", seed=1)
+        a = nucleus_decomposition(g, 3, 4, 0.3)
+        b = nucleus_decomposition(g, 3, 4, 0.3)
+        assert a == b
+        a.nucleus_edges(3)
+        assert a == b
 
     def test_k_max_empty(self):
         g = ProbabilisticGraph()

@@ -35,8 +35,11 @@ from repro.runtime import (
     FaultPlan,
     run_global,
     run_local,
+    run_nucleus,
     serialize_global_result,
 )
+from repro.runtime.progress import chain_hooks
+from tests.strategies import planted_clique_graph
 
 GAMMA = 0.3
 N_SAMPLES = 60
@@ -207,6 +210,38 @@ class TestPoolStart:
             local_truss_decomposition(graph, GAMMA, executor=ex)
             assert dispatched == ["pmf-init"]
             assert ex.supervision_stats()["maps"] == 1
+
+
+class TestPhaseVocabulary:
+    """The local truss and the nucleus decomposition share one peel
+    engine and one ``pmf-init`` task, but each keeps its own progress
+    vocabulary: a local run reports only ``local-*`` phases, a nucleus
+    run — ``(2, 3)`` included — only ``nucleus-*`` phases. Pooled runs
+    include the init task's counter re-emissions: payload 0 spins for
+    0.3 s, so the pump re-emits the other chunks' counters mid-map."""
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_each_decomposition_keeps_its_phases(self, workers):
+        graph = planted_clique_graph(4, 7, seed=7)
+        runs = [
+            ("local", "nucleus", lambda hook: run_local(
+                graph, GAMMA, workers=workers, progress=hook)),
+            ("nucleus", "local", lambda hook: run_nucleus(
+                graph, 2, 3, GAMMA, workers=workers, progress=hook)),
+            ("nucleus", "local", lambda hook: run_nucleus(
+                graph, 3, 4, GAMMA, workers=workers, progress=hook)),
+        ]
+        for own, other, run in runs:
+            events = []
+            plan = FaultPlan().spin_task("pmf-init", seconds=0.3,
+                                         payload_index=0)
+            assert run(chain_hooks(events.append, plan)).complete
+            phases = {event.phase for event in events}
+            assert f"{own}-peel" in phases, phases
+            if workers is not None:
+                assert f"{own}-init" in phases, phases
+            assert not any(p.startswith(f"{other}-") for p in phases), (
+                own, phases)
 
 
 class TestParallelEquivalence:

@@ -69,9 +69,11 @@ def two_component_graph() -> ProbabilisticGraph:
 
 
 def pmf_payloads(graph, chunk: int = 1) -> list:
+    """Local-truss ``pmf-init`` payloads (``nucleus`` flag False)."""
     pairs = [(u, v) for u, v, _ in graph.edges_with_probabilities()]
     return [
-        (GAMMA, pairs[i:i + chunk]) for i in range(0, len(pairs), chunk)
+        (GAMMA, pairs[i:i + chunk], False)
+        for i in range(0, len(pairs), chunk)
     ]
 
 
@@ -98,39 +100,26 @@ def segment_exists(name: str) -> bool:
 class TestKnobs:
     def test_defaults(self):
         ex = ParallelExecutor(2, graph=running_example())
-        assert ex.pump_interval == pytest.approx(0.05)
-        assert ex.abort_grace == pytest.approx(30.0)
         assert ex.task_timeout is None
         assert ex.task_cpu_timeout is None
         assert ex.max_task_retries == 2
 
     def test_env_overrides(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PUMP_INTERVAL", "0.01")
-        monkeypatch.setenv("REPRO_ABORT_GRACE", "1.5")
         monkeypatch.setenv("REPRO_TASK_TIMEOUT", "7")
         monkeypatch.setenv("REPRO_TASK_CPU_TIMEOUT", "3")
         monkeypatch.setenv("REPRO_MAX_TASK_RETRIES", "5")
         ex = ParallelExecutor(2, graph=running_example())
-        assert ex.pump_interval == pytest.approx(0.01)
-        assert ex.abort_grace == pytest.approx(1.5)
         assert ex.task_timeout == pytest.approx(7.0)
         assert ex.task_cpu_timeout == pytest.approx(3.0)
         assert ex.max_task_retries == 5
 
     def test_kwarg_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PUMP_INTERVAL", "0.01")
         monkeypatch.setenv("REPRO_MAX_TASK_RETRIES", "5")
         ex = ParallelExecutor(2, graph=running_example(),
-                              pump_interval=0.2, max_task_retries=1)
-        assert ex.pump_interval == pytest.approx(0.2)
+                              max_task_retries=1)
         assert ex.max_task_retries == 1
 
     @pytest.mark.parametrize("env,value", [
-        ("REPRO_PUMP_INTERVAL", "fast"),
-        ("REPRO_PUMP_INTERVAL", "0"),
-        ("REPRO_PUMP_INTERVAL", "-0.1"),
-        ("REPRO_ABORT_GRACE", "-1"),
-        ("REPRO_ABORT_GRACE", "soon"),
         ("REPRO_TASK_TIMEOUT", "0"),
         ("REPRO_TASK_CPU_TIMEOUT", "0"),
         ("REPRO_TASK_CPU_TIMEOUT", "never"),
@@ -143,9 +132,6 @@ class TestKnobs:
             ParallelExecutor(2, graph=running_example())
 
     @pytest.mark.parametrize("kwargs", [
-        {"pump_interval": 0},
-        {"pump_interval": "soon"},
-        {"abort_grace": -1},
         {"task_timeout": 0},
         {"task_timeout": -3},
         {"task_cpu_timeout": 0},
@@ -160,7 +146,8 @@ class TestKnobs:
     def test_bad_quarantine_policy_raises(self):
         with ParallelExecutor(1, graph=running_example()) as ex:
             with pytest.raises(ParameterError, match="on_quarantine"):
-                ex.map("pmf-init", [(GAMMA, [])], on_quarantine="ignore")
+                ex.map("pmf-init", [(GAMMA, [], False)],
+                       on_quarantine="ignore")
 
 
 # ----------------------------------------------------------------------
